@@ -408,10 +408,12 @@ func BenchmarkSuiteSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkSuiteParallel4 runs the same suite on four workers. The
-// experiments are independent (each builds its own core.System), so
-// wall clock should drop near-linearly until the longest single job —
-// the graph study — becomes the critical path.
+// BenchmarkSuiteParallel4 runs the same suite on four workers. Each
+// experiment builds its own core.System; the only state jobs share is
+// the run's claim cells, which claims_check reads (waiting for a
+// producer still in flight), so wall clock should drop near-linearly
+// until the longest single job — the graph study — becomes the
+// critical path.
 func BenchmarkSuiteParallel4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		outs := engine.RunJobs(engine.Suite(benchSuite()), 4)

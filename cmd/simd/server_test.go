@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -170,6 +171,27 @@ func TestSubmitValidationErrors(t *testing.T) {
 		resp := postJob(t, ts, `cache_kib=64`, nil)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+	})
+
+	t.Run("grid over the point cap", func(t *testing.T) {
+		var eb errorBody
+		// 10 x 10 x 10 x 10 x 100 = 10^6 points from a few hundred bytes.
+		huge := `{"version": 1, "sweep": {
+		  "cache_kib": [64, 128, 192, 256, 320, 384, 448, 512, 576, 640],
+		  "channels": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		  "dimms": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		  "ratios": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		  "patterns": ["random"],
+		  "seeds": [` + strings.TrimSuffix(strings.Repeat("7,", 100), ",") + `]
+		}}`
+		resp := postJob(t, ts, huge, &eb)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status = %d, want 400", resp.StatusCode)
+		}
+		if len(eb.Violations) != 1 || eb.Violations[0].Field != "sweep" ||
+			!strings.Contains(eb.Violations[0].Msg, strconv.Itoa(jobspec.MaxPoints)) {
+			t.Errorf("violations = %v, want one on sweep naming the %d-point cap", eb.Violations, jobspec.MaxPoints)
 		}
 	})
 

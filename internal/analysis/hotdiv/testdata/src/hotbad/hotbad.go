@@ -16,8 +16,8 @@ func NewGeom(capacity, ways uint64) geom {
 
 // Index is hot-path shaped: both divisor forms must be flagged.
 func (g geom) Index(addr uint64) (uint64, uint64) {
-	set := addr % g.sets  // want `integer modulo \(%\) with a non-constant divisor`
-	tag := addr / g.sets  // want `integer division \(/\) with a non-constant divisor`
+	set := addr % g.sets // want `integer modulo \(%\) with a non-constant divisor`
+	tag := addr / g.sets // want `integer division \(/\) with a non-constant divisor`
 	return set, tag
 }
 

@@ -141,9 +141,9 @@ func TestLoaderCrossImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := map[string]string{
-		"go.mod":        "module tmp\n\ngo 1.22\n",
-		"p.go":          "package p\n\nimport (\n\t\"fmt\"\n\n\t\"tmp/inner\"\n)\n\nfunc Render() string { return fmt.Sprint(inner.X) }\n",
-		"inner/q.go":    "package inner\n\nvar X = 42\n",
+		"go.mod":          "module tmp\n\ngo 1.22\n",
+		"p.go":            "package p\n\nimport (\n\t\"fmt\"\n\n\t\"tmp/inner\"\n)\n\nfunc Render() string { return fmt.Sprint(inner.X) }\n",
+		"inner/q.go":      "package inner\n\nvar X = 42\n",
 		"inner/q_test.go": "package inner\n\nthis is not Go but test files are never parsed\n",
 	}
 	for name, src := range files {

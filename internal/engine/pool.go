@@ -1,10 +1,12 @@
 // Worker-pool experiment runner. Every experiment in
-// internal/experiments builds its own fresh core.System and shares no
-// mutable state with its siblings, so whole experiments are
-// embarrassingly parallel; what needs care is keeping the *output*
-// deterministic. The pool executes jobs on N goroutines but returns
-// outcomes indexed by job order, so artifact files, report ordering and
-// merged counters are identical whether the suite ran on 1 worker or 16.
+// internal/experiments builds its own fresh core.System, so whole
+// experiments are embarrassingly parallel. The one state jobs of a run
+// share is its scope of write-once cells (see Shared): a job that needs
+// a fact a sibling derives reads it there instead of recomputing it.
+// What needs care is keeping the *output* deterministic. The pool
+// executes jobs on N goroutines but returns outcomes indexed by job
+// order, so artifact files, report ordering and merged counters are
+// identical whether the suite ran on 1 worker or 16.
 
 package engine
 
@@ -70,7 +72,11 @@ func RunJobs(jobs []Job, workers int) []Outcome {
 // fires for them, so progress accounting stays exact), and in-flight
 // jobs see the same ctx through Job.Run so they can stop mid-stream.
 // Every job always has an outcome — cancellation never loses one.
+//
+// Every job's ctx carries one scope, fresh for this call, in which
+// Shared computes each key at most once.
 func RunJobsObserved(ctx context.Context, jobs []Job, workers int, observe func(Outcome)) []Outcome {
+	ctx = withScope(ctx)
 	outs := make([]Outcome, len(jobs))
 	done := func(i int) {
 		if observe != nil {

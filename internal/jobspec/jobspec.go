@@ -253,6 +253,41 @@ func (s Spec) Normalized() Spec {
 	return s
 }
 
+// MaxPoints is the most points one grid may expand to. A few hundred
+// bytes of axes can otherwise name billions of points, each of which
+// internal/sweep materializes with a preallocated result row before
+// running any. The cap sits far above sweep.DefaultSpec's 288 points
+// and every committed example; a larger study is several jobs.
+const MaxPoints = 65536
+
+// Points returns how many points the normalized axes expand to,
+// counted the way internal/sweep expands them: the product of the
+// axis lengths, except that seed-independent patterns expand once
+// rather than once per seed. The count saturates at MaxPoints+1, so
+// axes of any length cannot overflow it.
+func (a Axes) Points() int {
+	perGeometry := 0
+	for _, p := range a.Patterns {
+		if p == PatternRandom {
+			perGeometry += len(a.Seeds)
+		} else {
+			perGeometry++
+		}
+	}
+	n := 1
+	for _, f := range []int{len(a.CacheKiB), len(a.Ways), len(a.Policies), len(a.Channels),
+		len(a.DIMMs), len(a.Ratios), perGeometry} {
+		if f == 0 {
+			return 0
+		}
+		if n > (MaxPoints+1)/f {
+			return MaxPoints + 1
+		}
+		n *= f
+	}
+	return n
+}
+
 // Normalized returns the axes with every defaultable axis filled in
 // with its single-element default — the same rule sweep.Spec uses.
 func (a Axes) Normalized() Axes {
@@ -455,6 +490,9 @@ func validateAxes(e *Errors, a *Axes) {
 	}
 	if a.Passes < 1 {
 		e.add("sweep.passes", "passes %d must be >= 1", a.Passes)
+	}
+	if a.Points() > MaxPoints {
+		e.add("sweep", "the axes expand to more than %d points; split the grid into smaller jobs", MaxPoints)
 	}
 }
 

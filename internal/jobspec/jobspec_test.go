@@ -1,6 +1,8 @@
 package jobspec
 
 import (
+	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -227,4 +229,87 @@ func TestValidateGoodDefaultsPass(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("minimal grid spec rejected: %v", err)
 	}
+}
+
+// seq returns n distinct positive values of an axis type.
+func seq[T uint64 | int | uint32](n int) []T {
+	s := make([]T, n)
+	for i := range s {
+		s[i] = T(i + 1)
+	}
+	return s
+}
+
+// TestAxesPoints: seed-independent patterns expand once, random ones
+// once per seed, and a product too large for an int saturates.
+func TestAxesPoints(t *testing.T) {
+	a := Axes{
+		CacheKiB: []uint64{64, 128},
+		Policies: []string{PolicyHardware, PolicyDDOOff},
+		Patterns: []string{PatternSequential, PatternRandom, PatternWrite},
+		Seeds:    seq[uint32](5),
+	}.Normalized()
+	if got, want := a.Points(), 2*2*(1+5+1); got != want {
+		t.Errorf("Points = %d, want %d", got, want)
+	}
+	huge := Axes{
+		CacheKiB: seq[uint64](1000), Ways: seq[int](1000), Channels: seq[int](1000),
+		DIMMs: seq[int](1000), Ratios: seq[uint64](1000), Patterns: []string{PatternRandom},
+		Seeds: seq[uint32](1000),
+	}.Normalized()
+	if got := huge.Points(); got != MaxPoints+1 {
+		t.Errorf("10^18-point grid: Points = %d, want the saturated %d", got, MaxPoints+1)
+	}
+}
+
+// TestValidateCapsGridPoints: a grid of exactly MaxPoints points is
+// accepted, one more point is a violation of the sweep field, and a
+// document of a few hundred bytes naming 4*10^7 points is rejected at
+// decode time.
+func TestValidateCapsGridPoints(t *testing.T) {
+	atCap := Axes{CacheKiB: seq[uint64](16), Patterns: []string{PatternRandom}, Seeds: seq[uint32](MaxPoints / 16)}
+	if err := (Spec{Version: 1, Sweep: &atCap}).Validate(); err != nil {
+		t.Fatalf("grid of exactly %d points rejected: %v", MaxPoints, err)
+	}
+	over := atCap
+	over.Patterns = []string{PatternRandom, PatternSequential}
+	assertCapViolation(t, Spec{Version: 1, Sweep: &over}.Validate())
+
+	doc := `{"version": 1, "sweep": {
+		"cache_kib": [64, 128, 192, 256, 320, 384, 448, 512, 576, 640],
+		"ways": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
+		"policies": ["hardware", "ddo-off", "no-write-allocate", "no-read-allocate"],
+		"channels": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		"dimms": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		"ratios": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+		"patterns": ["random"],
+		"seeds": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20,
+		          21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+		          41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60,
+		          61, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75, 76, 77, 78, 79, 80,
+		          81, 82, 83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100]
+	}}`
+	_, err := Decode(strings.NewReader(doc))
+	assertCapViolation(t, err)
+	var verrs *Errors
+	errors.As(err, &verrs)
+	if len(verrs.Violations) != 1 {
+		t.Errorf("the cap should be the document's only violation: %v", verrs.Violations)
+	}
+}
+
+// assertCapViolation fails unless err is an *Errors with a violation
+// on the sweep field naming MaxPoints.
+func assertCapViolation(t *testing.T, err error) {
+	t.Helper()
+	var verrs *Errors
+	if !errors.As(err, &verrs) {
+		t.Fatalf("over-cap grid: err = %v, want *Errors", err)
+	}
+	for _, v := range verrs.Violations {
+		if v.Field == "sweep" && strings.Contains(v.Msg, strconv.Itoa(MaxPoints)) {
+			return
+		}
+	}
+	t.Errorf("no sweep-field cap violation in %v", verrs.Violations)
 }

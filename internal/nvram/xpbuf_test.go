@@ -39,7 +39,7 @@ func (r *refXPBuffer) write(block uint64) (merged bool) {
 func TestXPBufferMatchesReference(t *testing.T) {
 	streams := map[string]func(i int, rng *rand.Rand) uint64{
 		"sequential": func(i int, _ *rand.Rand) uint64 { return uint64(i) * mem.Line },
-		"random":     func(_ int, rng *rand.Rand) uint64 { return uint64(rng.Intn(1 << 16)) * mem.Line },
+		"random":     func(_ int, rng *rand.Rand) uint64 { return uint64(rng.Intn(1<<16)) * mem.Line },
 		"strided":    func(i int, _ *rand.Rand) uint64 { return uint64(i) * 3 * MediaBlock },
 		"ping-pong": func(i int, _ *rand.Rand) uint64 {
 			// Alternates between two far-apart blocks, defeating the

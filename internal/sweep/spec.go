@@ -260,6 +260,9 @@ func Expand(s Spec) ([]Point, error) {
 	if s.Passes < 1 {
 		return nil, fmt.Errorf("sweep: passes %d must be positive", s.Passes)
 	}
+	if s.Points() > jobspec.MaxPoints {
+		return nil, fmt.Errorf("sweep: spec expands to more than %d points", jobspec.MaxPoints)
+	}
 	classes := make(map[classID]*Geometry)
 	var points []Point
 	for _, kib := range s.CacheKiB {
@@ -353,7 +356,7 @@ func resolveClass(classes map[classID]*Geometry, s Spec, kib uint64, ways int, p
 
 // DefaultSpec is the full nvsweep grid: the paper's comparison axes
 // (size, associativity, all four policy ablations, DRAM:NVRAM ratio)
-// over both stream shapes. 432 points.
+// over both stream shapes. 288 points.
 func DefaultSpec() Spec {
 	return Spec{
 		Name: "default",

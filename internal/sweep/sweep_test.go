@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -409,5 +410,26 @@ func TestEmitSamples(t *testing.T) {
 		if s.MediaWrites != rows[i].MediaWrites {
 			t.Errorf("sample %d media writes %d, want %d", i, s.MediaWrites, rows[i].MediaWrites)
 		}
+	}
+}
+
+// TestPointsMatchesExpand: jobspec's point count, which caps a grid
+// before anything is expanded, counts exactly the points Expand makes,
+// and Expand refuses a grid over the cap.
+func TestPointsMatchesExpand(t *testing.T) {
+	for _, s := range []Spec{DefaultSpec(), QuickSpec(), BenchmarkSpec(), testSpec()} {
+		points, err := Expand(s)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if got := s.Normalized().Points(); got != len(points) {
+			t.Errorf("%s: Points = %d, Expand made %d", s.Name, got, len(points))
+		}
+	}
+	over := QuickSpec()
+	over.Patterns = []string{PatternRandom}
+	over.Seeds = make([]uint32, jobspec.MaxPoints)
+	if _, err := Expand(over); err == nil || !strings.Contains(err.Error(), "points") {
+		t.Errorf("over-cap grid: Expand err = %v", err)
 	}
 }

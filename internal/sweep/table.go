@@ -47,7 +47,7 @@ var tableHeader = []string{
 	"hit_rate", "amplification",
 }
 
-func u(v uint64) string { return strconv.FormatUint(v, 10) }
+func u(v uint64) string  { return strconv.FormatUint(v, 10) }
 func f(v float64) string { return strconv.FormatFloat(v, 'f', 6, 64) }
 
 // WriteCSV writes the merged result table through the telemetry CSV

@@ -412,8 +412,10 @@ func BenchmarkSuiteSerial(b *testing.B) {
 // experiment builds its own core.System; the only state jobs share is
 // the run's claim cells, which claims_check reads (waiting for a
 // producer still in flight), so wall clock should drop near-linearly
-// until the longest single job — the graph study — becomes the
-// critical path.
+// until the longest single job becomes the critical path. The graph
+// study spreads its own runs over GOMAXPROCS goroutines, so on a
+// machine with fewer CPUs than workers it competes with the other jobs
+// for them.
 func BenchmarkSuiteParallel4(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		outs := engine.RunJobs(engine.Suite(benchSuite()), 4)

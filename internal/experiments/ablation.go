@@ -126,10 +126,10 @@ func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
 	table := results.NewTable(
 		"Ablation: DRAM-cache associativity (DenseNet 264 training iteration, 2LM)",
 		"ways", "runtime_s", "hit_rate", "miss_dirty", "nvram_write_gb", "vs_direct_mapped")
-	var base float64
-	for _, w := range ways {
+	// The runs share only the compiled plan, which Execute reads.
+	runs, err := runSlots(len(ways), nil, func(i int) (*compiler.ExecResult, error) {
 		p := imc.HardwarePolicy()
-		p.Ways = w
+		p.Ways = ways[i]
 		sys, err := core.New(core.Config{
 			Platform: platform.CascadeLake(1, cfg.Scale, 24),
 			Mode:     core.Mode2LM,
@@ -138,15 +138,15 @@ func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := compiler.Execute(plan, sys, compiler.ExecConfig{WarmupIterations: cfg.Warmup})
-		if err != nil {
-			return nil, err
-		}
+		return compiler.Execute(plan, sys, compiler.ExecConfig{WarmupIterations: cfg.Warmup})
+	})
+	if err != nil {
+		return nil, err
+	}
+	base := cfg.unscaleSeconds(runs[0].Elapsed)
+	for i, res := range runs {
 		rt := cfg.unscaleSeconds(res.Elapsed)
-		if w == ways[0] {
-			base = rt
-		}
-		table.AddRow(w, rt, res.Counters.HitRate(),
+		table.AddRow(ways[i], rt, res.Counters.HitRate(),
 			fmt.Sprint(res.Counters.TagMissDirty),
 			cfg.unscaleGB(res.NVRAMWriteBytes()),
 			fmt.Sprintf("%.2fx", base/rt))

@@ -7,7 +7,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"twolm/internal/analytics"
 	"twolm/internal/core"
@@ -132,81 +134,59 @@ func (c GraphConfig) newSystem(mode core.Mode) (*core.System, error) {
 	})
 }
 
-// runKernels executes all four kernels against g in the given mode,
-// each on a fresh system (matching the paper's quiet-system runs).
-func (c GraphConfig) runKernels(g *graph.Graph, mode GraphMode) ([]GraphRun, error) {
-	var runs []GraphRun
-	for _, kernel := range KernelNames {
-		var (
-			sys *core.System
-			cfg analytics.Config
-			err error
-		)
-		base := analytics.Config{
-			Threads:  c.Threads,
-			PRRounds: c.PRRounds,
-			KCoreK:   c.KCoreK,
-		}
-		var res analytics.Result
-		switch mode {
-		case Mode2LMFlat:
-			sys, err = c.newSystem(core.Mode2LM)
-			if err != nil {
-				return nil, err
-			}
-			layout, perr := g.Place(sys.AddressSpace().Alloc)
-			if perr != nil {
-				return nil, perr
-			}
-			cfg = base
-			cfg.Sys, cfg.G, cfg.Layout = sys, g, layout
-			cfg.AllocProp = sys.AddressSpace().Alloc
-			res, err = runOne(cfg, kernel, g)
-		case ModeNUMA:
-			sys, err = c.newSystem(core.Mode1LM)
-			if err != nil {
-				return nil, err
-			}
-			layout, perr := g.Place(sys.AddressSpace().Alloc)
-			if perr != nil {
-				return nil, perr
-			}
-			cfg = base
-			cfg.Sys, cfg.G, cfg.Layout = sys, g, layout
-			cfg.AllocProp = sys.AddressSpace().Alloc
-			res, err = runOne(cfg, kernel, g)
-		case ModeSage:
-			sys, err = c.newSystem(core.Mode1LM)
-			if err != nil {
-				return nil, err
-			}
-			session, serr := sage.New(sys, g)
-			if serr != nil {
-				return nil, serr
-			}
-			switch kernel {
-			case "bfs":
-				res, err = session.BFS(base, g.MaxOutDegreeNode())
-			case "cc":
-				res, err = session.CC(base)
-			case "kcore":
-				res, err = session.KCore(base)
-			case "pr":
-				res, err = session.PageRank(base)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s/%s: %w", g.Name, mode, kernel, err)
-		}
-		runs = append(runs, GraphRun{
-			Graph:   g.Name,
-			Mode:    mode,
-			Kernel:  kernel,
-			Result:  res,
-			HitRate: res.Delta.HitRate(),
-		})
+// runKernel executes one kernel against g in the given mode on a fresh
+// system (matching the paper's quiet-system runs).
+func (c GraphConfig) runKernel(g *graph.Graph, mode GraphMode, kernel string) (GraphRun, error) {
+	res, err := c.execute(g, mode, kernel)
+	if err != nil {
+		return GraphRun{}, fmt.Errorf("experiments: %s/%s/%s: %w", g.Name, mode, kernel, err)
 	}
-	return runs, nil
+	return GraphRun{
+		Graph:   g.Name,
+		Mode:    mode,
+		Kernel:  kernel,
+		Result:  res,
+		HitRate: res.Delta.HitRate(),
+	}, nil
+}
+
+// execute builds the system for mode, places g on it and runs kernel.
+// The modes differ only in placement: 2LM and NUMA allocate everything
+// through the flat address space, Sage pins the graph in NVRAM.
+func (c GraphConfig) execute(g *graph.Graph, mode GraphMode, kernel string) (analytics.Result, error) {
+	var coreMode core.Mode
+	switch mode {
+	case Mode2LMFlat:
+		coreMode = core.Mode2LM
+	case ModeNUMA, ModeSage:
+		coreMode = core.Mode1LM
+	default:
+		return analytics.Result{}, fmt.Errorf("unknown mode %q", mode)
+	}
+	sys, err := c.newSystem(coreMode)
+	if err != nil {
+		return analytics.Result{}, err
+	}
+	cfg := analytics.Config{
+		Threads:  c.Threads,
+		PRRounds: c.PRRounds,
+		KCoreK:   c.KCoreK,
+	}
+	if mode == ModeSage {
+		session, err := sage.New(sys, g)
+		if err != nil {
+			return analytics.Result{}, err
+		}
+		cfg = session.Config(cfg)
+	} else {
+		layout, err := g.Place(sys.AddressSpace().Alloc)
+		if err != nil {
+			return analytics.Result{}, err
+		}
+		cfg.Sys, cfg.G, cfg.Layout = sys, g, layout
+		cfg.AllocProp = sys.AddressSpace().Alloc
+	}
+	return runOne(cfg, kernel, g)
 }
 
 // runOne dispatches a kernel by name.
@@ -225,21 +205,36 @@ func runOne(cfg analytics.Config, kernel string, g *graph.Graph) (analytics.Resu
 	}
 }
 
+// graphCell names one (graph, mode, kernel) run of the study.
+type graphCell struct {
+	g      *graph.Graph
+	mode   GraphMode
+	kernel string
+}
+
 // RunGraphStudy generates both inputs and executes every kernel in
 // 2LM (both graphs), NUMA (large graph — the Figure 8 baseline) and
 // Sage (large graph — the Section VII comparison).
+//
+// Every run builds its own system and only reads the shared graphs, so
+// the runs execute concurrently (see runSlots) and each lands in its
+// fixed slot of Study.Runs: the study is the same at any GOMAXPROCS.
 func RunGraphStudy(cfg GraphConfig) (*Study, error) {
 	cfg = cfg.withDefaults()
-	small, err := graph.Kronecker(cfg.SmallScale, cfg.SmallEdgeFactor, cfg.Seed)
+	// Start the larger web-like graph first; slot 0 is still the small
+	// graph, whose error wins if both fail.
+	inputs, err := runSlots(2, []int{1, 0}, func(i int) (*graph.Graph, error) {
+		if i == 0 {
+			return graph.Kronecker(cfg.SmallScale, cfg.SmallEdgeFactor, cfg.Seed)
+		}
+		return graph.WebLike(cfg.LargeScale, cfg.LargeEdgeFactor, cfg.Seed)
+	})
 	if err != nil {
 		return nil, err
 	}
-	large, err := graph.WebLike(cfg.LargeScale, cfg.LargeEdgeFactor, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	study := &Study{Config: cfg, Small: small, Large: large}
+	small, large := inputs[0], inputs[1]
 
+	var cells []graphCell
 	for _, spec := range []struct {
 		g    *graph.Graph
 		mode GraphMode
@@ -249,13 +244,37 @@ func RunGraphStudy(cfg GraphConfig) (*Study, error) {
 		{large, ModeNUMA},
 		{large, ModeSage},
 	} {
-		runs, err := cfg.runKernels(spec.g, spec.mode)
-		if err != nil {
-			return nil, err
+		for _, kernel := range KernelNames {
+			cells = append(cells, graphCell{spec.g, spec.mode, kernel})
 		}
-		study.Runs = append(study.Runs, runs...)
 	}
-	return study, nil
+	runs, err := runSlots(len(cells), dispatchOrder(cells), func(i int) (GraphRun, error) {
+		return cfg.runKernel(cells[i].g, cells[i].mode, cells[i].kernel)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Study{Config: cfg, Small: small, Large: large, Runs: runs}, nil
+}
+
+// dispatchOrder lists the cells' indices largest graph first, then
+// longest kernel first, so the longest runs start early and the short
+// ones fill in at the end. It only balances the workers.
+func dispatchOrder(cells []graphCell) []int {
+	// The kernels by run time on the over-capacity graph, longest first.
+	longestFirst := []string{"pr", "cc", "bfs", "kcore"}
+	order := make([]int, len(cells))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := cells[a], cells[b]
+		if c := cmp.Compare(cb.g.NumEdges(), ca.g.NumEdges()); c != 0 {
+			return c
+		}
+		return cmp.Compare(slices.Index(longestFirst, ca.kernel), slices.Index(longestFirst, cb.kernel))
+	})
+	return order
 }
 
 // find returns the run matching the key, or nil.

@@ -1,8 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
+
+	"twolm/internal/graph"
+	"twolm/internal/results"
 )
 
 // testGraphConfig keeps the study fast: a tiny fits-in-cache Kronecker
@@ -191,5 +198,79 @@ func TestFig7TableRenders(t *testing.T) {
 	}
 	if s.Fig9() == nil || s.SageTable() == nil {
 		t.Error("missing tables")
+	}
+}
+
+// TestGraphStudySameAtAnyParallelism: the study's runs execute
+// concurrently, yet every run, and every figure rendered from them,
+// must be the same on one worker as on four.
+func TestGraphStudySameAtAnyParallelism(t *testing.T) {
+	study := func(procs int) *Study {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := RunGraphStudy(testGraphConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	serial, parallel := study(1), study(4)
+	if !reflect.DeepEqual(serial.Runs, parallel.Runs) {
+		t.Fatal("Study.Runs differ between GOMAXPROCS 1 and 4")
+	}
+	for _, k := range []struct {
+		name string
+		fig  func(*Study) *results.Table
+	}{
+		{"fig7", (*Study).Fig7},
+		{"fig8", (*Study).Fig8},
+		{"fig9", (*Study).Fig9},
+		{"sage", (*Study).SageTable},
+	} {
+		var a, b bytes.Buffer
+		if err := k.fig(serial).WriteCSV(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := k.fig(parallel).WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("%s table differs between GOMAXPROCS 1 and 4", k.name)
+		}
+	}
+}
+
+// TestRunKernelRejectsUnknownKernel: every mode dispatches through
+// runOne, so a misspelled kernel is an error in Sage mode too.
+func TestRunKernelRejectsUnknownKernel(t *testing.T) {
+	g, err := graph.Kronecker(6, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testGraphConfig().withDefaults()
+	for _, mode := range []GraphMode{Mode2LMFlat, ModeNUMA, ModeSage} {
+		_, err := cfg.runKernel(g, mode, "sssp")
+		if err == nil || !strings.Contains(err.Error(), `unknown kernel "sssp"`) {
+			t.Errorf("%s: err = %v, want unknown kernel", mode, err)
+		}
+	}
+	if _, err := cfg.runKernel(g, "CXL", "bfs"); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}
+
+// TestDispatchOrderLongestFirst: the large graph's runs start first,
+// pagerank before cc, bfs and kcore, and the small graph's last.
+func TestDispatchOrderLongestFirst(t *testing.T) {
+	small, large := &graph.Graph{Edges: make([]uint32, 1)}, &graph.Graph{Edges: make([]uint32, 2)}
+	var cells []graphCell
+	for _, g := range []*graph.Graph{small, large} {
+		for _, kernel := range KernelNames {
+			cells = append(cells, graphCell{g, Mode2LMFlat, kernel})
+		}
+	}
+	// KernelNames is bfs, cc, kcore, pr: small graph 0-3, large 4-7.
+	want := []int{7, 5, 4, 6, 3, 1, 0, 2}
+	if got := dispatchOrder(cells); !reflect.DeepEqual(got, want) {
+		t.Errorf("dispatch order %v, want %v", got, want)
 	}
 }

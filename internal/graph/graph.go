@@ -9,7 +9,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"twolm/internal/mem"
 )
@@ -111,14 +111,17 @@ func FromEdges(name string, n int, src, dst []uint32) (*Graph, error) {
 		edges[cursor[u]] = dst[i]
 		cursor[u]++
 	}
-	// Sort each adjacency list for locality, matching the converters
-	// real frameworks (Galois graph-converter) apply.
-	for u := 0; u < n; u++ {
-		adj := edges[offsets[u]:offsets[u+1]]
-		sort.Slice(adj, func(a, b int) bool { return adj[a] < adj[b] })
-	}
 	g := &Graph{Name: name, Offsets: offsets, Edges: edges}
+	g.sortAdjacency()
 	return g, g.Validate()
+}
+
+// sortAdjacency sorts each adjacency list for locality, matching the
+// converters real frameworks (Galois graph-converter) apply.
+func (g *Graph) sortAdjacency() {
+	for u := 0; u < g.NumNodes(); u++ {
+		slices.Sort(g.Neighbors(uint32(u)))
+	}
 }
 
 // RMAT parameters of the Graph500 reference generator.
@@ -178,13 +181,15 @@ func WebLike(scale, edgeFactor int, seed int64) (*Graph, error) {
 	n := 1 << scale
 	m := n * edgeFactor
 	rng := rand.New(rand.NewSource(seed))
-	src := make([]uint32, 0, m)
-	dst := make([]uint32, 0, m)
+	// Sources are emitted in ascending order, so the destination list
+	// is already the CSR edge array: count degrees as edges are drawn.
+	offsets := make([]uint32, n+1)
+	edges := make([]uint32, 0, m)
 	// Zipf-ish out-degrees: most pages few links, some hubs many.
 	zipf := rand.NewZipf(rng, 1.3, 4, uint64(4*edgeFactor))
-	for u := 0; u < n && len(src) < m; u++ {
+	for u := 0; u < n && len(edges) < m; u++ {
 		deg := int(zipf.Uint64()) + 1
-		for e := 0; e < deg && len(src) < m; e++ {
+		for e := 0; e < deg && len(edges) < m; e++ {
 			var v int
 			if rng.Float64() < 0.7 {
 				// Site-local link: near the source.
@@ -197,11 +202,16 @@ func WebLike(scale, edgeFactor int, seed int64) (*Graph, error) {
 				// Cross-site link, biased toward hubs.
 				v = rng.Intn(n)
 			}
-			src = append(src, uint32(u))
-			dst = append(dst, uint32(v))
+			edges = append(edges, uint32(v))
+			offsets[u+1]++
 		}
 	}
-	return FromEdges(fmt.Sprintf("web%d", scale), n, src, dst)
+	for i := 1; i <= n; i++ {
+		offsets[i] += offsets[i-1]
+	}
+	g := &Graph{Name: fmt.Sprintf("web%d", scale), Offsets: offsets, Edges: edges}
+	g.sortAdjacency()
+	return g, g.Validate()
 }
 
 // Layout describes where a graph's CSR arrays live in the simulated

@@ -36,9 +36,10 @@ func New(sys *core.System, g *graph.Graph) (*Session, error) {
 	return &Session{Sys: sys, G: g, Layout: layout}, nil
 }
 
-// config builds the kernel configuration: properties allocate from
-// DRAM only — Sage's defining invariant.
-func (s *Session) config(base analytics.Config) analytics.Config {
+// Config builds the kernel configuration for any analytics kernel:
+// the graph's NVRAM layout, with properties allocated from DRAM only —
+// Sage's defining invariant.
+func (s *Session) Config(base analytics.Config) analytics.Config {
 	base.Sys = s.Sys
 	base.G = s.G
 	base.Layout = s.Layout
@@ -48,20 +49,20 @@ func (s *Session) config(base analytics.Config) analytics.Config {
 
 // BFS runs breadth-first search with DRAM-resident distances.
 func (s *Session) BFS(base analytics.Config, src uint32) (analytics.Result, error) {
-	return analytics.BFS(s.config(base), src)
+	return analytics.BFS(s.Config(base), src)
 }
 
 // CC runs connected components with DRAM-resident labels.
 func (s *Session) CC(base analytics.Config) (analytics.Result, error) {
-	return analytics.CC(s.config(base))
+	return analytics.CC(s.Config(base))
 }
 
 // KCore runs k-core decomposition with DRAM-resident degree counters.
 func (s *Session) KCore(base analytics.Config) (analytics.Result, error) {
-	return analytics.KCore(s.config(base))
+	return analytics.KCore(s.Config(base))
 }
 
 // PageRank runs pagerank-push with DRAM-resident ranks and residuals.
 func (s *Session) PageRank(base analytics.Config) (analytics.Result, error) {
-	return analytics.PageRank(s.config(base))
+	return analytics.PageRank(s.Config(base))
 }

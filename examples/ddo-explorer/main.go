@@ -18,14 +18,16 @@ import (
 )
 
 func newSystem(disableDDO bool) *core.System {
+	policy := imc.HardwarePolicy()
+	policy.DisableDDO = disableDDO
 	sys, err := core.New(core.Config{
 		Platform: platform.CascadeLake(1, 4096, 4),
 		Mode:     core.Mode2LM,
+		Policy:   &policy,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.Controller().DisableDDO = disableDDO
 	return sys
 }
 

@@ -74,7 +74,7 @@ func (c *Assoc) Lines() uint64 { return c.sets * c.ways }
 
 // index splits an address into set and tag. The set count is fixed at
 // construction, so the split uses a precomputed reciprocal instead of
-// two divide instructions — Probe and Install run once per simulated
+// two divide instructions — Probe runs once per simulated
 // demand line reaching the memory controller.
 func (c *Assoc) index(addr uint64) (set uint64, tag uint32) {
 	q, r := c.setsDiv.DivMod(addr >> mem.LineShift)
@@ -104,15 +104,6 @@ func (c *Assoc) Index(addr uint64) (set uint64, tag uint32) {
 func (c *Assoc) Probe(addr uint64) (handle uint64, res LookupResult) {
 	set, tag := c.index(addr)
 	return c.ProbeAt(set, tag)
-}
-
-// ProbeTag is Probe returning the tag alongside, so a caller on the
-// miss path can hand it straight to InstallTag without re-dividing the
-// address.
-func (c *Assoc) ProbeTag(addr uint64) (handle uint64, tag uint32, res LookupResult) {
-	set, tag := c.index(addr)
-	handle, res = c.ProbeAt(set, tag)
-	return handle, tag, res
 }
 
 // ProbeAt is Probe for a (set, tag) pair previously derived from Index.
@@ -163,19 +154,17 @@ func (c *Assoc) ProbeAt(set uint64, tag uint32) (handle uint64, res LookupResult
 	return victim, MissClean
 }
 
-// Install places addr's line at handle in the clean, unowned state.
-// With Ways==1 the LRU stamp clock is never read, so it is not
-// maintained.
-func (c *Assoc) Install(handle, addr uint64) {
-	_, tag := c.index(addr)
-	c.InstallTag(handle, tag)
-}
+// Entry returns the packed tag word at handle (layout: EntryValid,
+// EntryDirty, EntryLLCOwned below the tag; see PackEntry).
+func (c *Assoc) Entry(handle uint64) uint64 { return c.entries[handle] }
 
-// InstallTag is Install with the tag already split off the address
-// (typically returned by ProbeTag, saving the re-division).
-func (c *Assoc) InstallTag(handle uint64, tag uint32) {
-	c.entries[handle] = packEntry(tag, flagValid)
-	if c.ways == 1 {
+// Store writes the packed tag word w at handle. install marks a new
+// occupant, which refreshes the handle's LRU stamp; a hit was already
+// refreshed by Probe. With Ways==1 the stamp clock is never read, so it
+// is not maintained.
+func (c *Assoc) Store(handle, w uint64, install bool) {
+	c.entries[handle] = w
+	if c.ways == 1 || !install {
 		return
 	}
 	c.clock++
@@ -192,41 +181,16 @@ func (c *Assoc) VictimAddr(handle uint64) (addr uint64, ok bool) {
 	return (uint64(entryTag(w))*c.sets + set) << mem.LineShift, true
 }
 
-// MarkDirty sets the dirty bit at handle.
-func (c *Assoc) MarkDirty(handle uint64) { c.entries[handle] |= flagDirty }
-
 // IsDirty reports whether the entry at handle is valid and dirty.
 func (c *Assoc) IsDirty(handle uint64) bool {
 	w := c.entries[handle]
 	return w&flagValid != 0 && w&flagDirty != 0
 }
 
-// Invalidate drops the entry at handle.
-func (c *Assoc) Invalidate(handle uint64) {
-	c.entries[handle] = 0
-	c.stamps[handle] = 0
-}
-
-// SetLLCOwned marks the entry at handle as held by the on-chip
-// hierarchy (the Dirty Data Optimization precondition).
-func (c *Assoc) SetLLCOwned(handle uint64, owned bool) {
-	if owned {
-		c.entries[handle] |= flagLLCOwned
-	} else {
-		c.entries[handle] &^= flagLLCOwned
-	}
-}
-
-// LLCOwned reports the LLC-owned flag at handle.
-func (c *Assoc) LLCOwned(handle uint64) bool {
-	return c.entries[handle]&flagLLCOwned != 0
-}
-
-// Exported packed-entry primitives for the batched controller paths:
-// with the tag array flattened into a single []uint64, the bucketed
-// drain in internal/imc folds probe + install + flag updates into one
-// load and one store per request. Only the Ways==1 layout is exposed —
-// the generic path keeps going through Probe/Install.
+// Exported packed-entry primitives: every controller path reads a tag
+// word (Entry, or DirectEntries on the Ways==1 fast paths), computes
+// the successor word with these, and writes it back with Store, so
+// probe + install + flag updates are one load and one store.
 const (
 	// EntryValid, EntryDirty, EntryLLCOwned are the flag bits of a
 	// packed tag word, below EntryTagShift.
@@ -242,9 +206,10 @@ func EntryTagOf(w uint64) uint32 { return entryTag(w) }
 func PackEntry(tag uint32, flags uint64) uint64 { return packEntry(tag, flags) }
 
 // DirectEntries exposes the flat packed tag array when the store is
-// direct mapped (Ways == 1), indexed by set; nil otherwise. Callers may
-// mutate words in place with the Entry* primitives — handle-based and
-// word-based access see the same state.
+// direct mapped (Ways == 1), indexed by set; nil otherwise. A set's
+// index is also its entry's handle. Callers may mutate words in place
+// with the Entry* primitives — handle-based and word-based access see
+// the same state.
 func (c *Assoc) DirectEntries() []uint64 {
 	if c.ways != 1 {
 		return nil
@@ -315,7 +280,7 @@ func (c *Assoc) ForEachDirty(fn func(addr uint64)) {
 // Reset invalidates every entry, returning the tag store to its
 // as-constructed state without allocating. Direct-mapped stores skip
 // the LRU stamp clear: Ways==1 never reads or writes a stamp (Probe
-// and InstallTag take the specialized path), so for the common sweep
+// and Store take the specialized path), so for the common sweep
 // geometry this halves the words zeroed per controller recycle.
 func (c *Assoc) Reset() {
 	clear(c.entries)

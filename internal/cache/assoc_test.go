@@ -16,6 +16,19 @@ func newAssoc(t *testing.T, capacity uint64, ways int) *Assoc {
 	return c
 }
 
+// install places addr's line at handle in the clean, unowned state —
+// the tag-word change the controller's fill makes.
+func install(c *Assoc, h, addr uint64) {
+	_, tag := c.Index(addr)
+	c.Store(h, PackEntry(tag, EntryValid), true)
+}
+
+// setFlags ORs flags into the word at handle.
+func setFlags(c *Assoc, h, flags uint64) { c.Store(h, c.Entry(h)|flags, false) }
+
+// owned reports the LLC-owned flag at handle.
+func owned(c *Assoc, h uint64) bool { return c.Entry(h)&EntryLLCOwned != 0 }
+
 func TestNewAssocValidation(t *testing.T) {
 	if _, err := NewAssoc(mem.KiB, 0); err == nil {
 		t.Error("0 ways accepted")
@@ -40,7 +53,7 @@ func TestAssocHitAfterInstall(t *testing.T) {
 	if res != MissClean {
 		t.Fatalf("cold probe = %v", res)
 	}
-	c.Install(h, addr)
+	install(c, h, addr)
 	h2, res := c.Probe(addr)
 	if res != Hit || h2 != h {
 		t.Fatalf("probe after install = %v at %d (installed at %d)", res, h2, h)
@@ -60,18 +73,18 @@ func TestAssocConflictsAbsorbed(t *testing.T) {
 
 	// Direct mapped: installing the alias evicts the original.
 	h, _ := dm.Probe(a)
-	dm.Install(h, a)
+	install(dm, h, a)
 	h2, _ := dm.Probe(aliasOf(dm, a))
-	dm.Install(h2, aliasOf(dm, a))
+	install(dm, h2, aliasOf(dm, a))
 	if _, res := dm.Probe(a); res == Hit {
 		t.Error("direct-mapped cache kept both aliases")
 	}
 
 	// Two way: both fit.
 	h, _ = tw.Probe(a)
-	tw.Install(h, a)
+	install(tw, h, a)
 	h2, _ = tw.Probe(aliasOf(tw, a))
-	tw.Install(h2, aliasOf(tw, a))
+	install(tw, h2, aliasOf(tw, a))
 	if _, res := tw.Probe(a); res != Hit {
 		t.Error("2-way cache evicted the first alias")
 	}
@@ -86,9 +99,9 @@ func TestAssocLRUReplacement(t *testing.T) {
 	alias := func(n uint64) uint64 { return n * c.Sets() * mem.Line }
 
 	h, _ := c.Probe(alias(0))
-	c.Install(h, alias(0))
+	install(c, h, alias(0))
 	h, _ = c.Probe(alias(1))
-	c.Install(h, alias(1))
+	install(c, h, alias(1))
 	// Touch alias(0) so alias(1) becomes LRU.
 	if _, res := c.Probe(alias(0)); res != Hit {
 		t.Fatal("lost alias(0)")
@@ -101,7 +114,7 @@ func TestAssocLRUReplacement(t *testing.T) {
 	if victim, ok := c.VictimAddr(h); !ok || victim != alias(1) {
 		t.Errorf("victim = %#x, want %#x (the LRU way)", victim, alias(1))
 	}
-	c.Install(h, alias(2))
+	install(c, h, alias(2))
 	if _, res := c.Probe(alias(0)); res != Hit {
 		t.Error("MRU way was evicted")
 	}
@@ -119,7 +132,7 @@ func TestAssocPrefersInvalidWay(t *testing.T) {
 		if _, ok := c.VictimAddr(h); ok {
 			t.Fatalf("fill %d displaced a valid line", n)
 		}
-		c.Install(h, alias(n))
+		install(c, h, alias(n))
 	}
 	// All four resident.
 	for n := uint64(0); n < 4; n++ {
@@ -133,17 +146,17 @@ func TestAssocDirtyVictim(t *testing.T) {
 	c := newAssoc(t, mem.KiB, 1)
 	addr := uint64(0)
 	h, _ := c.Probe(addr)
-	c.Install(h, addr)
-	c.MarkDirty(h)
+	install(c, h, addr)
+	setFlags(c, h, EntryDirty)
 	if !c.IsDirty(h) {
-		t.Fatal("MarkDirty had no effect")
+		t.Fatal("setting the dirty flag had no effect")
 	}
 	if _, res := c.Probe(addr + c.Sets()*mem.Line); res != MissDirty {
 		t.Errorf("alias probe = %v, want miss-dirty", res)
 	}
-	c.Invalidate(h)
+	c.Store(h, 0, false)
 	if c.IsDirty(h) || c.ValidLines() != 0 {
-		t.Error("Invalidate left state")
+		t.Error("storing an invalid word left state")
 	}
 }
 
@@ -152,7 +165,7 @@ func TestAssocVictimAddrRoundTrip(t *testing.T) {
 	f := func(lineRaw uint16) bool {
 		addr := uint64(lineRaw) << mem.LineShift
 		h, _ := c.Probe(addr)
-		c.Install(h, addr)
+		install(c, h, addr)
 		got, ok := c.VictimAddr(h)
 		return ok && got == addr
 	}
@@ -164,17 +177,17 @@ func TestAssocVictimAddrRoundTrip(t *testing.T) {
 func TestAssocOwnedFlag(t *testing.T) {
 	c := newAssoc(t, mem.KiB, 2)
 	h, _ := c.Probe(0)
-	c.Install(h, 0)
-	if c.LLCOwned(h) {
+	install(c, h, 0)
+	if owned(c, h) {
 		t.Error("fresh line owned")
 	}
-	c.SetLLCOwned(h, true)
-	if !c.LLCOwned(h) {
-		t.Error("SetLLCOwned(true) had no effect")
+	setFlags(c, h, EntryLLCOwned)
+	if !owned(c, h) {
+		t.Error("setting the owned flag had no effect")
 	}
-	c.SetLLCOwned(h, false)
-	if c.LLCOwned(h) {
-		t.Error("SetLLCOwned(false) had no effect")
+	c.Store(h, c.Entry(h)&^EntryLLCOwned, false)
+	if owned(c, h) {
+		t.Error("clearing the owned flag had no effect")
 	}
 }
 
@@ -186,9 +199,9 @@ func TestAssocInstallClearsStaleFlags(t *testing.T) {
 	c := newAssoc(t, mem.KiB, 1)
 	victim := uint64(3 * mem.Line)
 	h, _ := c.Probe(victim)
-	c.Install(h, victim)
-	c.MarkDirty(h)
-	c.SetLLCOwned(h, true)
+	install(c, h, victim)
+	setFlags(c, h, EntryDirty)
+	setFlags(c, h, EntryLLCOwned)
 
 	// Conflicting install replaces the victim in the same slot.
 	conflicting := victim + c.Sets()*mem.Line
@@ -196,12 +209,12 @@ func TestAssocInstallClearsStaleFlags(t *testing.T) {
 	if h2 != h || res != MissDirty {
 		t.Fatalf("conflict probe = handle %d res %v, want handle %d miss-dirty", h2, res, h)
 	}
-	c.Install(h2, conflicting)
-	if c.LLCOwned(h2) {
-		t.Error("Install preserved the victim's LLC-owned bit")
+	install(c, h2, conflicting)
+	if owned(c, h2) {
+		t.Error("install preserved the victim's LLC-owned bit")
 	}
 	if c.IsDirty(h2) {
-		t.Error("Install preserved the victim's dirty bit")
+		t.Error("install preserved the victim's dirty bit")
 	}
 }
 
@@ -211,9 +224,9 @@ func TestAssocForEachDirtyAndReset(t *testing.T) {
 	for i := uint64(0); i < 6; i++ {
 		addr := i * mem.Line
 		h, _ := c.Probe(addr)
-		c.Install(h, addr)
+		install(c, h, addr)
 		if i%2 == 0 {
-			c.MarkDirty(h)
+			setFlags(c, h, EntryDirty)
 			want[addr] = true
 		}
 	}
@@ -259,12 +272,12 @@ func TestWays1MatchesDirectMapped(t *testing.T) {
 		if dres != Hit {
 			set, tag := dm.Index(addr)
 			dm.Insert(set, tag)
-			as.Install(ah, addr)
+			install(as, ah, addr)
 		}
 		if write {
 			set, _ := dm.Index(addr)
 			dm.MarkDirty(set)
-			as.MarkDirty(ah)
+			setFlags(as, ah, EntryDirty)
 		}
 	}
 	if dm.DirtyLines() != as.DirtyLines() || dm.ValidLines() != as.ValidLines() {

@@ -41,25 +41,29 @@ func TestAssocDirectMappedEquivalence(t *testing.T) {
 		switch rng.Intn(4) {
 		case 0: // install on miss
 			if aRes != Hit {
-				assoc.Install(h, addr)
+				install(assoc, h, addr)
 				dm.Insert(set, tag)
 			}
 		case 1:
 			if aRes == Hit {
-				assoc.MarkDirty(h)
+				setFlags(assoc, h, EntryDirty)
 				dm.MarkDirty(set)
 			}
 		case 2:
 			if aRes == Hit {
-				assoc.Invalidate(h)
+				assoc.Store(h, 0, false)
 				dm.Invalidate(set)
 			}
 		case 3:
-			owned := rng.Intn(2) == 0
-			assoc.SetLLCOwned(h, owned)
-			dm.SetLLCOwned(set, owned)
+			own := rng.Intn(2) == 0
+			if own {
+				setFlags(assoc, h, EntryLLCOwned)
+			} else {
+				assoc.Store(h, assoc.Entry(h)&^EntryLLCOwned, false)
+			}
+			dm.SetLLCOwned(set, own)
 		}
-		if assoc.IsDirty(h) != dm.IsDirty(set) || assoc.LLCOwned(h) != dm.LLCOwned(set) {
+		if assoc.IsDirty(h) != dm.IsDirty(set) || owned(assoc, h) != dm.LLCOwned(set) {
 			t.Fatalf("op %d addr %#x: flag state diverged", i, addr)
 		}
 	}
@@ -83,7 +87,7 @@ func TestAssocWaysMatrixVictims(t *testing.T) {
 			addr := uint64(rng.Intn(8*528*ways)) * mem.Line
 			h, res := c.Probe(addr)
 			if res != Hit {
-				c.Install(h, addr)
+				install(c, h, addr)
 			}
 			got, ok := c.VictimAddr(h)
 			if !ok || got != addr {

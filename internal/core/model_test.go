@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"twolm/internal/imc"
 	"twolm/internal/mem"
 )
 
@@ -130,8 +131,14 @@ func Test2LMCongestionSerializesDRAMAndNVRAM(t *testing.T) {
 // without the optimization.
 func TestDisableDDOIncreasesTraffic(t *testing.T) {
 	run := func(disable bool) uint64 {
-		s := newSystem(t, Mode2LM)
-		s.Controller().DisableDDO = disable
+		cfg := testConfig(Mode2LM)
+		policy := imc.HardwarePolicy()
+		policy.DisableDDO = disable
+		cfg.Policy = &policy
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		arr, _ := s.AddressSpace().Alloc(s.Platform().DRAMSize() / 2)
 		s.LoadRange(arr) // prime + grant ownership via loads
 		s.StoreRange(arr)

@@ -14,6 +14,10 @@
 //	NVRAM Write   -     -     1      -     -     1     -
 //	Amplification 1     3     4      2     4     5     1
 //
+// table1.go holds that flow once, as decide, and that table once, as
+// rows; the controller counts requests per outcome and derives its
+// Counters from the rows.
+//
 // Key behaviors:
 //
 //   - Tags live in the DRAM ECC bits, so every DRAM data read returns
@@ -22,7 +26,8 @@
 //   - The controller always inserts on a miss, even a write miss whose
 //     incoming line fully overwrites the fetched data (the paper's
 //     "best guess" for the observed second DRAM write; Section IV-B).
-//   - Dirty victims are written back to NVRAM by the miss handler.
+//   - Dirty victims are written back to NVRAM on the miss path, before
+//     the fill.
 //   - Dirty Data Optimization (DDO): an LLC writeback of a line that the
 //     on-chip hierarchy acquired from this controller (and whose set has
 //     not been re-allocated since) skips the tag check and goes straight
@@ -174,12 +179,10 @@ type Controller struct {
 	DRAM  *dram.Module
 	NVRAM *nvram.Module
 
-	// DisableDDO turns the Dirty Data Optimization off, for ablation
-	// studies of the mechanism the paper could not pin down.
-	DisableDDO bool
-
-	policy   Policy
-	counters Counters
+	policy Policy
+	// hist counts requests per Table I outcome (table1.go); Counters
+	// derives every counter from it.
+	hist [nOutcomes]uint64
 
 	// Geometry, copied out of the tag store and DRAM module so the hot
 	// request paths touch one cache line of controller state.
@@ -200,13 +203,6 @@ type Controller struct {
 	// Batched dispatch scratch (scatter.go), reused across batches so
 	// the steady-state random path allocates nothing.
 	scat scatterState
-
-	// scatShuffle, when non-nil, routes each batch's deferred NVRAM
-	// work through per-(DIMM, direction) queues and permutes the order
-	// the queues are applied in — a test-only hook for the commutation
-	// property test. It receives the queue apply order to permute in
-	// place.
-	scatShuffle func(order []uint32)
 
 	// Per-stream locator memos. LLC demand reads and LLC writebacks
 	// each tend to sweep consecutive lines (the writeback stream is the
@@ -298,13 +294,12 @@ func New(dramMod *dram.Module, nvramMod *nvram.Module, opts ...Option) (*Control
 		return nil, fmt.Errorf("imc: %w", err)
 	}
 	c := &Controller{
-		Cache:      dc,
-		DRAM:       dramMod,
-		NVRAM:      nvramMod,
-		DisableDDO: cfg.policy.DisableDDO,
-		policy:     cfg.policy,
-		sets:       dc.Sets(),
-		nch:        dramMod.Channels(),
+		Cache:  dc,
+		DRAM:   dramMod,
+		NVRAM:  nvramMod,
+		policy: cfg.policy,
+		sets:   dc.Sets(),
+		nch:    dramMod.Channels(),
 	}
 	c.initScatter()
 	c.SetTelemetry(cfg.sink, cfg.sampleEvery)
@@ -321,7 +316,7 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 	c.haveSample = false
 	c.lastSample = 0
 	if sink != nil {
-		c.nextSample = telemetry.NextBoundary(c.counters.Demand(), every)
+		c.nextSample = telemetry.NextBoundary(c.Counters().Demand(), every)
 	}
 }
 
@@ -331,7 +326,7 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 // partitioned over combining buffers, which serial and sharded
 // executions do differently; use nvram.Module.Snapshot for media.
 func (c *Controller) Snapshot() telemetry.Sample {
-	ctr := c.counters
+	ctr := c.Counters()
 	s := telemetry.Sample{
 		Demand:       ctr.Demand(),
 		LLCRead:      ctr.LLCRead,
@@ -358,7 +353,7 @@ func (c *Controller) Snapshot() telemetry.Sample {
 // maybeSample records a sample if the demand clock crossed the next
 // sampling boundary. Callers have already checked sink != nil.
 func (c *Controller) maybeSample() {
-	d := c.counters.Demand()
+	d := c.Counters().Demand()
 	if d < c.nextSample {
 		return
 	}
@@ -380,7 +375,7 @@ func (c *Controller) FlushTelemetry() {
 	if c.sink == nil {
 		return
 	}
-	d := c.counters.Demand()
+	d := c.Counters().Demand()
 	if c.haveSample && d == c.lastSample {
 		return
 	}
@@ -390,10 +385,26 @@ func (c *Controller) FlushTelemetry() {
 // Policy returns the controller's configured policy.
 func (c *Controller) Policy() Policy { return c.policy }
 
-// Counters returns a snapshot of the event counters.
+// Counters returns a snapshot of the event counters: the sum over
+// Table I outcomes of each outcome's count times its row.
 //
 //hot:entry observers snapshot pooled controllers between and during jobs
-func (c *Controller) Counters() Counters { return c.counters }
+func (c *Controller) Counters() Counters {
+	var d Counters
+	for o, n := range c.hist {
+		d.DRAMRead += n * rows[o].delta.DRAMRead
+		d.DRAMWrite += n * rows[o].delta.DRAMWrite
+		d.NVRAMRead += n * rows[o].delta.NVRAMRead
+		d.NVRAMWrite += n * rows[o].delta.NVRAMWrite
+		d.TagHit += n * rows[o].delta.TagHit
+		d.TagMissClean += n * rows[o].delta.TagMissClean
+		d.TagMissDirty += n * rows[o].delta.TagMissDirty
+		d.DDO += n * rows[o].delta.DDO
+		d.LLCRead += n * rows[o].delta.LLCRead
+		d.LLCWrite += n * rows[o].delta.LLCWrite
+	}
+	return d
+}
 
 // ResetCounters zeroes the event counters without touching cache state,
 // mirroring how the paper primes the cache and then measures: tags
@@ -408,7 +419,7 @@ func (c *Controller) Counters() Counters { return c.counters }
 // make a recycled controller indistinguishable from a freshly
 // constructed one.
 func (c *Controller) ResetCounters() {
-	c.counters = Counters{}
+	c.hist = [nOutcomes]uint64{}
 	c.DRAM.Reset()
 	c.NVRAM.Reset()
 	if c.sink != nil {
@@ -427,8 +438,8 @@ func (c *Controller) ResetCounters() {
 //
 // Contrast with ResetCounters, which deliberately preserves cache
 // contents (the paper's prime-then-measure protocol). Reset subsumes
-// it: counters, device modules, telemetry phase, tag store, stream
-// locators, and scatter scratch all rewind. Nothing is reallocated —
+// it: the outcome histogram, device modules, telemetry phase, tag
+// store and stream locators all rewind. Nothing is reallocated —
 // geometry (capacities, channels, DIMMs, ways) and policy are fixed at
 // construction, so every buffer is zeroed in place and a worker can
 // recycle one controller per geometry class at 0 allocs per job.
@@ -446,77 +457,18 @@ func (c *Controller) Reset() {
 	// state, not merely indistinguishable counters.
 	c.readLoc = streamLocator{}
 	c.writeLoc = streamLocator{}
-	// Deferred-queue cursors are already zero after any completed
-	// batch (applyQueues drains them); clear them anyway so a
-	// controller abandoned mid-batch cannot leak requests into the
-	// next job if a caller recycles it regardless.
-	clear(c.scat.qcur)
 	c.ResetCounters()
-}
-
-// countMiss records the miss classification into ctr and writes back a
-// dirty victim at h.
-func (c *Controller) countMiss(ctr *Counters, h uint64, res cache.LookupResult) {
-	if res == cache.MissDirty {
-		ctr.TagMissDirty++
-		if victim, ok := c.Cache.VictimAddr(h); ok {
-			ctr.NVRAMWrite++
-			c.NVRAM.Write(victim)
-		}
-	} else {
-		ctr.TagMissClean++
-	}
-}
-
-// missHandler implements the shared miss path of Figure 3: write back
-// the victim if dirty, fetch the requested line from NVRAM, and insert
-// it into the DRAM cache. ctr is the counter set to record into (the
-// live counters, or a batch-local delta) and ch is addr's DRAM channel,
-// resolved once by the caller.
-func (c *Controller) missHandler(ctr *Counters, ch *dram.Channel, addr, h uint64, tag uint32, res cache.LookupResult) {
-	c.countMiss(ctr, h, res)
-	// Fetch the requested line from NVRAM...
-	ctr.NVRAMRead++
-	c.NVRAM.Read(addr)
-	// ...and insert it into the cache (always insert on miss).
-	ctr.DRAMWrite++
-	ch.CASWrites++
-	c.Cache.InstallTag(h, tag)
 }
 
 // LLCRead services a demand request from the LLC: a load miss or an RFO
 // for a store. The data (and its ECC tag) is read from DRAM; on a tag
-// miss the miss handler fills from NVRAM.
+// miss the line is filled from NVRAM (see line).
 //
 //hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
 //alloc:free per-line demand path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
-	c.counters.LLCRead++
-	set, tag, chIdx := c.locate(&c.readLoc, addr)
-	h, res := c.Cache.ProbeAt(set, tag)
-	ch := c.DRAM.ChannelAt(chIdx)
-
-	// DRAM read: fetch tag and data together.
-	c.counters.DRAMRead++
-	ch.CASReads++
-
-	switch {
-	case res == cache.Hit:
-		c.counters.TagHit++
-	case !c.policy.ReadAllocate:
-		// Ablation: forward from NVRAM without caching. No victim is
-		// disturbed, so the miss counts as clean.
-		c.counters.TagMissClean++
-		c.counters.NVRAMRead++
-		c.NVRAM.Read(addr)
-		return res
-	default:
-		c.missHandler(&c.counters, ch, addr, h, tag, res)
-	}
-	// The hierarchy now holds this line; its eventual writeback can use
-	// the Dirty Data Optimization.
-	c.Cache.SetLLCOwned(h, true)
-	return res
+	set, tag, ch := c.locate(&c.readLoc, addr)
+	return result(c.line(set, tag, ch, addr, false))
 }
 
 // LLCWrite services a writeback from the LLC — either the eviction of a
@@ -526,60 +478,19 @@ func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
 //hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
 //alloc:free per-line writeback path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCWrite(addr uint64) (res cache.LookupResult, ddo bool) {
-	c.counters.LLCWrite++
-	set, tag, chIdx := c.locate(&c.writeLoc, addr)
-	h, res := c.Cache.ProbeAt(set, tag)
-	ch := c.DRAM.ChannelAt(chIdx)
-
-	if !c.DisableDDO && res == cache.Hit && c.Cache.LLCOwned(h) {
-		// DDO: the controller knows the LLC owns this exact line, so
-		// the tag check is unnecessary — forward the write to DRAM.
-		c.counters.DDO++
-		c.counters.TagHit++
-		c.counters.DRAMWrite++
-		ch.CASWrites++
-		c.Cache.MarkDirty(h)
-		c.Cache.SetLLCOwned(h, false)
-		return res, true
-	}
-
-	// DRAM read purely for the tag check.
-	c.counters.DRAMRead++
-	ch.CASReads++
-
-	switch {
-	case res == cache.Hit:
-		c.counters.TagHit++
-	case !c.policy.WriteAllocate:
-		// Ablation: write-around. The line goes straight to NVRAM and
-		// the cache (including any victim) is left alone.
-		c.counters.TagMissClean++
-		c.counters.NVRAMWrite++
-		c.NVRAM.Write(addr)
-		return res, false
-	default:
-		// Insert-on-miss, even for a full-line write: the miss handler
-		// fetches the line from NVRAM and installs it first.
-		c.missHandler(&c.counters, ch, addr, h, tag, res)
-	}
-
-	// The actual write of the incoming line.
-	c.counters.DRAMWrite++
-	ch.CASWrites++
-	c.Cache.MarkDirty(h)
-	c.Cache.SetLLCOwned(h, false)
-	return res, false
+	set, tag, ch := c.locate(&c.writeLoc, addr)
+	o := c.line(set, tag, ch, addr, true)
+	return result(o), o == writeDDO
 }
 
 // LLCReadRange services n consecutive line reads starting at the line
 // containing addr — the batched form of calling LLCRead on each line in
-// ascending order. Counters accumulate in a local and flush once, and
-// the per-line DRAM data read (which happens unconditionally, hit or
-// miss) is distributed over the channels arithmetically instead of line
-// by line. Tag probes and NVRAM traffic remain per line because they
-// depend on cache state. Counter results — imc.Counters, per-channel
-// CAS, NVRAM media counters — are byte-identical to the per-line path
-// (the differential tests pin this).
+// ascending order. Direct-mapped stores with read-allocate take the
+// closed-form set-stride fold (seqfold.go); Ways>1 and the
+// no-read-allocate ablation walk the lines through line. Counter
+// results — imc.Counters, per-channel CAS, NVRAM media counters — are
+// byte-identical to the per-line path (the differential tests pin
+// this).
 //
 //hot:entry batched demand path, driven on pooled controllers
 //alloc:free batched read path, 0 allocs/op by benchmark contract
@@ -587,67 +498,11 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	// Direct-mapped stores with read-allocate take the closed-form
-	// set-stride fold (seqfold.go); Ways>1 and the no-allocate ablation
-	// keep the per-line walk below.
 	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.ReadAllocate {
 		c.seqReadRange(entries, addr, n)
-		if c.sink != nil {
-			c.maybeSample()
-		}
-		return
+	} else {
+		c.walk(addr, n, false)
 	}
-	var d Counters
-	d.LLCRead = n
-	d.DRAMRead = n
-	c.DRAM.ReadRange(addr, n)
-	// Consecutive lines map to consecutive tag-store sets and DRAM
-	// channels, so the walk advances both incrementally after a single
-	// division at the range start.
-	sets := c.Cache.Sets()
-	set, tag := c.Cache.Index(addr)
-	nch := c.DRAM.Channels()
-	chIdx := c.DRAM.ChannelIndex(addr)
-	end := addr + n*mem.Line
-	for a := addr; a < end; a += mem.Line {
-		h, res := c.Cache.ProbeAt(set, tag)
-		switch {
-		case res == cache.Hit:
-			d.TagHit++
-			c.Cache.SetLLCOwned(h, true)
-		case !c.policy.ReadAllocate:
-			// Ablation: forward from NVRAM without caching; the
-			// hierarchy never owns an uncached line.
-			d.TagMissClean++
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-		default:
-			if res == cache.MissDirty {
-				d.TagMissDirty++
-				if victim, ok := c.Cache.VictimAddr(h); ok {
-					d.NVRAMWrite++
-					c.NVRAM.Write(victim)
-				}
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			d.DRAMWrite++
-			c.DRAM.ChannelAt(chIdx).CASWrites++
-			c.Cache.InstallTag(h, tag)
-			c.Cache.SetLLCOwned(h, true)
-		}
-		set++
-		if set == sets {
-			set, tag = 0, tag+1
-		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
-		}
-	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -655,10 +510,10 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 
 // LLCWriteRange services n consecutive line writebacks starting at the
 // line containing addr — the batched form of calling LLCWrite on each
-// line in ascending order, with counters accumulated in a local and
-// flushed once. DRAM traffic stays per line because it depends on the
-// per-line DDO and tag-check outcomes. Counter-identical to the
-// per-line path.
+// line in ascending order. Direct-mapped stores with write-allocate
+// take the closed-form fold (DisableDDO folds too — it only picks the
+// uniform write formula); Ways>1 and write-around walk the lines
+// through line. Counter-identical to the per-line path.
 //
 //hot:entry batched writeback path, driven on pooled controllers
 //alloc:free batched write path, 0 allocs/op by benchmark contract
@@ -666,86 +521,11 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	// Direct-mapped stores with write-allocate take the closed-form
-	// set-stride fold (seqfold.go; DisableDDO folds too — it only picks
-	// the uniform write formula). Ways>1 and write-around fall back.
 	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.WriteAllocate {
 		c.seqWriteRange(entries, addr, n)
-		if c.sink != nil {
-			c.maybeSample()
-		}
-		return
+	} else {
+		c.walk(addr, n, true)
 	}
-	var d Counters
-	d.LLCWrite = n
-	sets := c.Cache.Sets()
-	set, tag := c.Cache.Index(addr)
-	nch := c.DRAM.Channels()
-	chIdx := c.DRAM.ChannelIndex(addr)
-	end := addr + n*mem.Line
-	for a := addr; a < end; a += mem.Line {
-		h, res := c.Cache.ProbeAt(set, tag)
-		ch := c.DRAM.ChannelAt(chIdx)
-
-		switch {
-		case !c.DisableDDO && res == cache.Hit && c.Cache.LLCOwned(h):
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		case res == cache.Hit:
-			// DRAM read purely for the tag check.
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		case !c.policy.WriteAllocate:
-			// Ablation: write-around straight to NVRAM after the tag
-			// check.
-			d.DRAMRead++
-			ch.CASReads++
-			d.TagMissClean++
-			d.NVRAMWrite++
-			c.NVRAM.Write(a)
-		default:
-			d.DRAMRead++
-			ch.CASReads++
-			if res == cache.MissDirty {
-				d.TagMissDirty++
-				if victim, ok := c.Cache.VictimAddr(h); ok {
-					d.NVRAMWrite++
-					c.NVRAM.Write(victim)
-				}
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.InstallTag(h, tag)
-			// The actual write of the incoming line.
-			d.DRAMWrite++
-			ch.CASWrites++
-			c.Cache.MarkDirty(h)
-			c.Cache.SetLLCOwned(h, false)
-		}
-
-		set++
-		if set == sets {
-			set, tag = 0, tag+1
-		}
-		chIdx++
-		if chIdx == nch {
-			chIdx = 0
-		}
-	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -756,7 +536,7 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 // are recorded for the writebacks. O(lines).
 func (c *Controller) FlushAll() {
 	c.Cache.ForEachDirty(func(addr uint64) {
-		c.counters.NVRAMWrite++
+		c.hist[flushWrite]++
 		c.NVRAM.Write(addr)
 	})
 	c.Cache.Reset()

@@ -282,10 +282,11 @@ func TestNoReadAllocateDoesNotGrantOwnership(t *testing.T) {
 	}
 }
 
-// TestDisableDDO: the ablation switch forces the full write-hit path.
+// TestDisableDDO: the ablation policy forces the full write-hit path.
 func TestDisableDDO(t *testing.T) {
-	c := newController(t, mem.KiB)
-	c.DisableDDO = true
+	p := HardwarePolicy()
+	p.DisableDDO = true
+	c := newPolicyController(t, mem.KiB, p)
 	addr := uint64(2 * mem.Line)
 	c.LLCRead(addr)
 	d := delta(c, func() {

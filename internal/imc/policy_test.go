@@ -122,6 +122,60 @@ func TestNoReadAllocate(t *testing.T) {
 	}
 }
 
+// TestBypassOverDirtyReportsClean: a no-read-allocate read or a
+// write-around write that misses over a dirty resident line disturbs no
+// victim, so LLCRead/LLCWrite report the clean miss the counters record
+// and the resident dirty word is left exactly as it was.
+func TestBypassOverDirtyReportsClean(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		policy func(*Policy)
+		dirty  func(c *Controller, addr uint64)
+		access func(c *Controller, addr uint64) cache.LookupResult
+	}{
+		{
+			name:   "no-read-allocate read",
+			policy: func(p *Policy) { p.ReadAllocate = false },
+			dirty:  func(c *Controller, addr uint64) { c.LLCWrite(addr) },
+			access: func(c *Controller, addr uint64) cache.LookupResult { return c.LLCRead(addr) },
+		},
+		{
+			name:   "write-around write",
+			policy: func(p *Policy) { p.WriteAllocate = false },
+			dirty: func(c *Controller, addr uint64) {
+				c.LLCRead(addr)
+				c.LLCWrite(addr)
+			},
+			access: func(c *Controller, addr uint64) cache.LookupResult {
+				res, ddo := c.LLCWrite(addr)
+				if ddo {
+					t.Error("write-around miss reported ddo")
+				}
+				return res
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := HardwarePolicy()
+			tc.policy(&p)
+			c := newPolicyController(t, mem.KiB, p)
+			victim := uint64(2 * mem.Line)
+			tc.dirty(c, victim)
+			h, res := c.Cache.Probe(victim)
+			if res != cache.Hit || !c.Cache.IsDirty(h) {
+				t.Fatalf("setup: victim probe = %v, dirty %v; want a dirty hit", res, c.Cache.IsDirty(h))
+			}
+			word := c.Cache.Entry(h)
+			if got := tc.access(c, alias(c, victim, 1)); got != cache.MissClean {
+				t.Errorf("aliasing access returned %v, want MissClean", got)
+			}
+			if got := c.Cache.Entry(h); got != word {
+				t.Errorf("resident word %#x changed to %#x", word, got)
+			}
+		})
+	}
+}
+
 // TestAssociativityAbsorbsAliasingWrites: 2 ways hold two dirty
 // aliases that thrash a direct-mapped cache — quantifying the paper's
 // limitation #1.
@@ -159,8 +213,5 @@ func TestPolicyAccessor(t *testing.T) {
 	c := newPolicyController(t, mem.KiB, p)
 	if got := c.Policy(); got != p {
 		t.Errorf("Policy() = %+v, want %+v", got, p)
-	}
-	if !c.DisableDDO {
-		t.Error("DisableDDO not propagated from policy")
 	}
 }

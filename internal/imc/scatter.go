@@ -16,27 +16,27 @@
 //
 //  2. NVRAM device calls are not issued inside the heavy pass (a
 //     call per miss on an unpredictable branch). Each miss's fill read
-//     and each dirty victim's writeback are instead appended — still in
-//     request order — to a queue per (DIMM, direction), and the queues
-//     are applied after the batch as tight homogeneous loops inside the
-//     nvram package. Legality: the interleave map is a pure function of
-//     the address, DIMMs share no state, and within one DIMM the read
-//     path (read memo, media read count) and the write path (combining
-//     buffer, write memo, media write count) touch disjoint fields — so
-//     the only orders that matter are the per-DIMM same-direction
-//     orders, which append order preserves exactly. Every interface and
-//     media counter is byte-identical to serial dispatch, and the
-//     queues may be applied in ANY order — the shuffle property test
-//     permutes them and asserts byte-identity; the differential tests
-//     pin byte-identity against the per-line path across all policy
-//     ablations. See DESIGN.md §4e for the full argument.
+//     and each dirty victim's writeback are instead staged — still in
+//     request order — per chunk and handed to the nvram package's batch
+//     entry points, one per direction. Legality: the interleave map is
+//     a pure function of the address, DIMMs share no state, and within
+//     one DIMM the read path (read memo, media read count) and the
+//     write path (combining buffer, write memo, media write count)
+//     touch disjoint fields — so the only orders that matter are the
+//     per-DIMM same-direction orders, which staging preserves exactly.
+//     Every interface and media counter is byte-identical to serial
+//     dispatch; the differential tests and FuzzDispatchMatchesPerLine
+//     pin this against the per-line path across all policy ablations.
+//     See DESIGN.md §4e for the full argument.
+//
+// Only the hardware policy on a direct-mapped store takes this path;
+// every other configuration runs each request through line.
 package imc
 
 import (
 	"twolm/internal/cache"
 	"twolm/internal/fastdiv"
 	"twolm/internal/mem"
-	"twolm/internal/nvram"
 )
 
 // Req is one LLC-level request, packed into a single word: the
@@ -87,25 +87,14 @@ type scatterState struct {
 	cchi [dispatchChunk]uint32 // channel | chiWrite
 
 	// Per-chunk deferred-NVRAM staging: fill reads and victim
-	// writebacks collected by the heavy pass through register cursors,
-	// partitioned into the per-DIMM queues by the tiny loops that
-	// follow it.
+	// writebacks collected by the heavy pass through register cursors.
 	cfill [dispatchChunk]uint64
 	cvict [dispatchChunk]uint64
 
 	casR []uint64 // per-channel CAS deltas of the current batch
 	casW []uint64
 
-	// Deferred NVRAM queues: one per (DIMM, direction) — read queues
-	// first, then write queues. Entries are line addresses in request
-	// order; buffers grow monotonically and are reused across batches.
-	qbuf    [][]uint64
-	qcur    []int
-	order   []uint32 // queue apply order (identity; test hook permutes)
-	ndimm   int
-	dimmDiv fastdiv.Divisor
-
-	// Divisor copies for the resolve pass: DivMod/Mod on a local
+	// Divisor copies for resolving requests: DivMod/Mod on a local
 	// Divisor value inline fully, where the cache and DRAM method
 	// calls per request do not. Same construction, same quotients.
 	setDiv fastdiv.Divisor
@@ -114,10 +103,11 @@ type scatterState struct {
 	reqs []Req // packing buffer for the address-slice wrappers
 }
 
-// initScatter captures the NVRAM interleave geometry and sizes the
-// fixed scratch.
+// initScatter builds the resolve divisors and sizes the fixed scratch.
 func (c *Controller) initScatter() {
 	st := &c.scat
+	st.setDiv = fastdiv.New(c.sets)
+	st.chDiv = fastdiv.New(uint64(c.nch))
 	// The chunk scratch packs the channel index beside the operation
 	// bit; a geometry exceeding 31 bits of channel index (never built
 	// in practice) falls back to serial dispatch instead of truncating.
@@ -127,69 +117,6 @@ func (c *Controller) initScatter() {
 	}
 	st.casR = make([]uint64, c.nch)
 	st.casW = make([]uint64, c.nch)
-	nd := c.NVRAM.DIMMs()
-	st.ndimm = nd
-	st.dimmDiv = c.NVRAM.DIMMDivisor()
-	st.setDiv = fastdiv.New(c.sets)
-	st.chDiv = fastdiv.New(uint64(c.nch))
-	st.qbuf = make([][]uint64, 2*nd)
-	st.qcur = make([]int, 2*nd)
-	st.order = make([]uint32, 2*nd)
-	for i := range st.order {
-		st.order[i] = uint32(i)
-	}
-}
-
-// queueReserve guarantees every deferred queue has room for n more
-// entries, so the dispatch loop can append with an unconditional store
-// and a masked cursor bump instead of a per-append capacity branch.
-//
-//alloc:cold queue growth is amortized: buffers double, survive Reset, and are reused across batches (0 steady-state allocs)
-func (c *Controller) queueReserve(n int) {
-	st := &c.scat
-	for j := range st.qbuf {
-		need := st.qcur[j] + n
-		if need <= len(st.qbuf[j]) {
-			continue
-		}
-		ncap := 2 * len(st.qbuf[j])
-		if ncap < need {
-			ncap = need
-		}
-		if ncap < 4096 {
-			ncap = 4096
-		}
-		nb := make([]uint64, ncap)
-		copy(nb, st.qbuf[j][:st.qcur[j]])
-		st.qbuf[j] = nb
-	}
-}
-
-// applyQueues drains the deferred NVRAM queues. The apply order is
-// immaterial (disjoint DIMMs; disjoint read/write state within a DIMM)
-// — the scatShuffle hook permutes it to let the property test prove
-// exactly that. Applying through the DIMM batch entry points bypasses
-// the Module's interleave memos, which are pure lookup caches with no
-// counter effect.
-func (c *Controller) applyQueues() {
-	st := &c.scat
-	if c.scatShuffle != nil {
-		c.scatShuffle(st.order)
-	}
-	nd := st.ndimm
-	for _, j := range st.order {
-		n := st.qcur[j]
-		st.qcur[j] = 0
-		if n == 0 {
-			continue
-		}
-		q := st.qbuf[j][:n]
-		if int(j) < nd {
-			c.NVRAM.DIMMAt(int(j)).ReadBatch(q)
-		} else {
-			c.NVRAM.DIMMAt(int(j) - nd).WriteBatch(q)
-		}
-	}
 }
 
 // LLCReadScatter services a batch of demand reads at arbitrary line
@@ -224,16 +151,16 @@ func (c *Controller) LLCWriteScatter(addrs []uint64) {
 	c.LLCScatter(reqs)
 }
 
-// scatterSerial dispatches a batch through the per-line entry points:
-// the associative (Ways > 1) ablations and geometry fallbacks, where
-// request order and device-call order are trivially serial.
+// scatterSerial dispatches a batch through line in request order: the
+// ablation policies, the associative (Ways > 1) stores and geometry
+// fallbacks.
 func (c *Controller) scatterSerial(reqs []Req) {
+	st := &c.scat
 	for _, r := range reqs {
-		if uint64(r)&reqWrite == 0 {
-			c.LLCRead(uint64(r) &^ lineMask)
-		} else {
-			c.LLCWrite(uint64(r) &^ lineMask)
-		}
+		a := uint64(r) &^ lineMask
+		tag, set := st.setDiv.DivMod(a >> mem.LineShift)
+		ch := st.chDiv.Mod(a >> mem.LineShift)
+		c.line(set, uint32(tag), int(ch), a, uint64(r)&reqWrite != 0)
 	}
 	if c.sink != nil {
 		c.maybeSample()
@@ -245,7 +172,7 @@ func (c *Controller) scatterSerial(reqs []Req) {
 // counters — are byte-identical to dispatching each request serially
 // in slice order (the differential tests pin this); requests are
 // processed in slice order, with only the NVRAM device calls regrouped
-// per DIMM and direction.
+// per direction.
 //
 //hot:entry mixed-batch dispatch path, driven on pooled controllers
 //alloc:free 0 allocs/op by benchmark contract (PR 7 steady-state guarantee)
@@ -255,26 +182,20 @@ func (c *Controller) LLCScatter(reqs []Req) {
 	}
 	st := &c.scat
 	words := c.Cache.DirectEntries()
-	if st.serial || words == nil {
+	p := c.policy
+	if st.serial || words == nil || !p.ReadAllocate || !p.WriteAllocate || p.DisableDDO {
 		c.scatterSerial(reqs)
 		return
 	}
 	clear(st.casR)
 	clear(st.casW)
-	var d Counters
-	if c.policy.ReadAllocate && c.policy.WriteAllocate && !c.DisableDDO {
-		c.dispatchHW(&d, words, reqs)
-	} else {
-		c.dispatchAblate(&d, words, reqs)
-	}
+	c.dispatchHW(words, reqs)
 	for i, r := range st.casR {
 		c.DRAM.ChannelAt(i).CASReads += r
 	}
 	for i, w := range st.casW {
 		c.DRAM.ChannelAt(i).CASWrites += w
 	}
-	c.applyQueues()
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -289,23 +210,17 @@ func (c *Controller) LLCScatter(reqs []Req) {
 // bits, and the deferred NVRAM appends store unconditionally with a
 // masked cursor bump (the slot is overwritten when the request defers
 // nothing). Counter results are identical to the per-line path (the
-// differential and shuffle tests run the same traffic through every
-// ablation at Ways 1 and 4).
-func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
+// differential tests and FuzzDispatchMatchesPerLine pin this).
+func (c *Controller) dispatchHW(words []uint64, reqs []Req) {
 	st := &c.scat
 	sets := c.sets
 	casR, casW := st.casR, st.casW
-	nd := st.ndimm
-	dimmDiv := st.dimmDiv
-	// Counter accumulators live in plain locals so they stay in
-	// registers: a += on a shared *Counters field is a memory
-	// read-modify-write whose store the next iteration's load depends
-	// on, and a dozen such chains per request serialize the whole loop.
-	// Only the four independent outcomes are counted; the rest are
-	// derived once at the end (on this policy every request reads DRAM
-	// unless DDO elides it, every miss reads NVRAM and fills DRAM, and
-	// every dirty victim writes NVRAM).
-	var nW, nHit, nMissD, nDDO uint64
+	// Outcome accumulators live in plain locals so they stay in
+	// registers: a += on a histogram slot is a memory read-modify-write
+	// whose store the next iteration's load depends on. Six counts fix
+	// the seven Table I outcomes, filled into the histogram once at the
+	// end.
+	var nW, nHit, nWHit, nMissD, nWMissD, nDDO uint64
 	for off := 0; off < len(reqs); off += dispatchChunk {
 		chunk := reqs[off:]
 		if len(chunk) > dispatchChunk {
@@ -360,7 +275,9 @@ func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
 
 			nW += isW
 			nHit += hit
+			nWHit += isW & hit
 			nMissD += dv
+			nWMissD += isW & dv
 			nDDO += ddo
 			casR[chi] += 1 - ddo
 			casW[chi] += miss + isW
@@ -388,133 +305,16 @@ func (c *Controller) dispatchHW(d *Counters, words []uint64, reqs []Req) {
 		}
 		// Hand the staged work to the device model, still in request
 		// order per direction (reads and writes commute within a DIMM,
-		// so splitting the directions preserves byte-identity). With
-		// the shuffle hook installed, the property-test path instead
-		// partitions into the per-DIMM queues applied after the batch,
-		// so the test can permute the apply order.
-		if c.scatShuffle == nil {
-			c.NVRAM.ReadBatch(st.cfill[:nf])
-			c.NVRAM.WriteBatch(st.cvict[:nv])
-		} else {
-			c.queueReserve(len(chunk))
-			for _, a := range st.cfill[:nf] {
-				di := dimmDiv.Mod(a / nvram.InterleaveGranularity)
-				st.qbuf[di][st.qcur[di]] = a
-				st.qcur[di]++
-			}
-			for _, va := range st.cvict[:nv] {
-				dj := uint64(nd) + dimmDiv.Mod(va/nvram.InterleaveGranularity)
-				st.qbuf[dj][st.qcur[dj]] = va
-				st.qcur[dj]++
-			}
-		}
+		// so splitting the directions preserves byte-identity).
+		c.NVRAM.ReadBatch(st.cfill[:nf])
+		c.NVRAM.WriteBatch(st.cvict[:nv])
 	}
-	nTotal := uint64(len(reqs))
-	nMiss := nTotal - nHit
-	d.LLCRead += nTotal - nW
-	d.LLCWrite += nW
-	d.DRAMRead += nTotal - nDDO
-	d.DRAMWrite += nMiss + nW
-	d.NVRAMRead += nMiss
-	d.NVRAMWrite += nMissD
-	d.TagHit += nHit
-	d.TagMissClean += nMiss - nMissD
-	d.TagMissDirty += nMissD
-	d.DDO += nDDO
-}
-
-// dispatchAblate is the dispatch loop for the direct-mapped (Ways==1)
-// tag store under the ablation policies. Requests run in order with
-// direct NVRAM calls (victim writeback before fill, exactly as the
-// per-line miss path issues them), so byte-identity is by construction;
-// the probe and every tag-state transition still fold into one load and
-// one store of the packed entry word. Ablations are off the headline
-// benchmark path, so this loop keeps the readable branchy form.
-func (c *Controller) dispatchAblate(d *Counters, words []uint64, reqs []Req) {
-	st := &c.scat
-	sets := c.sets
-	readAlloc := c.policy.ReadAllocate
-	writeAlloc := c.policy.WriteAllocate
-	ddoOK := !c.DisableDDO
-	casR, casW := st.casR, st.casW
-	for _, r := range reqs {
-		a := uint64(r) &^ lineMask
-		set, tag := c.Cache.Index(a)
-		chi := c.DRAM.ChannelIndex(a)
-		w := words[set]
-		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
-
-		if uint64(r)&reqWrite == 0 {
-			// Demand read: DRAM fetches tag and data together.
-			d.LLCRead++
-			d.DRAMRead++
-			casR[chi]++
-			switch {
-			case hit:
-				d.TagHit++
-				words[set] = w | cache.EntryLLCOwned
-			case !readAlloc:
-				// Ablation: forward from NVRAM without caching.
-				d.TagMissClean++
-				d.NVRAMRead++
-				c.NVRAM.Read(a)
-			default:
-				if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-					d.TagMissDirty++
-					d.NVRAMWrite++
-					c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-				} else {
-					d.TagMissClean++
-				}
-				d.NVRAMRead++
-				c.NVRAM.Read(a)
-				d.DRAMWrite++
-				casW[chi]++
-				words[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned)
-			}
-			continue
-		}
-
-		// LLC writeback.
-		d.LLCWrite++
-		switch {
-		case ddoOK && hit && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
-			casW[chi]++
-			words[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case hit:
-			// DRAM read purely for the tag check.
-			d.DRAMRead++
-			casR[chi]++
-			d.TagHit++
-			d.DRAMWrite++
-			casW[chi]++
-			words[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
-		case !writeAlloc:
-			// Ablation: write-around straight to NVRAM.
-			d.DRAMRead++
-			casR[chi]++
-			d.TagMissClean++
-			d.NVRAMWrite++
-			c.NVRAM.Write(a)
-		default:
-			d.DRAMRead++
-			casR[chi]++
-			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
-				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
-			} else {
-				d.TagMissClean++
-			}
-			d.NVRAMRead++
-			c.NVRAM.Read(a)
-			// Insert-on-miss, then the actual write of the line.
-			d.DRAMWrite += 2
-			casW[chi] += 2
-			words[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
-		}
-	}
+	nR := uint64(len(reqs)) - nW
+	c.hist[readHit] += nHit - nWHit
+	c.hist[readMissDirty] += nMissD - nWMissD
+	c.hist[readMissClean] += nR - (nHit - nWHit) - (nMissD - nWMissD)
+	c.hist[writeDDO] += nDDO
+	c.hist[writeHit] += nWHit - nDDO
+	c.hist[writeMissDirty] += nWMissD
+	c.hist[writeMissClean] += nW - nWHit - nWMissD
 }

@@ -1,19 +1,16 @@
 package imc
 
 import (
-	"bytes"
-	"math/rand"
 	"testing"
 
 	"twolm/internal/lfsr"
 	"twolm/internal/mem"
-	"twolm/internal/telemetry"
 )
 
 // scatterPolicies is the acceptance matrix of the batched dispatch:
 // every policy ablation crossed with direct-mapped (the branchless
-// dispatchHW / dispatchAblate loops) and 4-way associativity (the
-// serial fallback, which must stay byte-identical too).
+// dispatchHW loop for the hardware policy, the serial path through
+// line otherwise) and 4-way associativity (the serial path).
 func scatterPolicies() map[string]Policy {
 	base := map[string]Policy{}
 	hw := HardwarePolicy()
@@ -38,14 +35,6 @@ func scatterPolicies() map[string]Policy {
 		out[name+"-w4"] = p4
 	}
 	return out
-}
-
-// newScatterController builds one controller with the differential-run
-// geometry of newRangePair.
-func newScatterController(t *testing.T, policy Policy) *Controller {
-	t.Helper()
-	c, _ := newRangePair(t, policy)
-	return c
 }
 
 // scatterStream generates a deterministic LFSR-random request stream
@@ -160,98 +149,6 @@ func TestScatterChunkBoundaries(t *testing.T) {
 		batched.LLCScatter(reqs)
 	}
 	assertSameTraffic(t, "chunk-boundaries", perLine, batched)
-}
-
-// TestScatterShuffleCommutes is the commutation property of the
-// deferred NVRAM work: the per-(DIMM, direction) queues a batch
-// defers may be applied in ANY order without changing a single
-// counter, because DIMMs share no state and within a DIMM the read
-// path and the write path touch disjoint fields. The scatShuffle hook
-// permutes the queue apply order with a seeded PRNG per batch; the
-// run must stay byte-identical — imc.Counters, per-channel CAS, NVRAM
-// interface and media counters, and the telemetry Recorder's CSV and
-// JSON series — to both an unshuffled batched run and the per-line
-// reference. (The serial-vs-sharded replay Recorder identity is pinned
-// separately by engine.TestTelemetrySerialVsSharded.)
-func TestScatterShuffleCommutes(t *testing.T) {
-	for name, policy := range scatterPolicies() {
-		t.Run(name, func(t *testing.T) {
-			const every = 4096
-			run := func(shuffleSeed int64) (*Controller, []byte, []byte) {
-				c := newScatterController(t, policy)
-				rec := telemetry.NewRecorder()
-				c.SetTelemetry(rec, every)
-				if shuffleSeed != 0 {
-					rng := rand.New(rand.NewSource(shuffleSeed))
-					c.scatShuffle = func(order []uint32) {
-						rng.Shuffle(len(order), func(i, j int) {
-							order[i], order[j] = order[j], order[i]
-						})
-					}
-				}
-				spanLines := uint64(2*c.DRAM.Capacity()) / mem.Line
-				reqs := scatterStream(t, spanLines)
-				const batch = 997
-				for off := 0; off < len(reqs); off += batch {
-					end := off + batch
-					if end > len(reqs) {
-						end = len(reqs)
-					}
-					c.LLCScatter(reqs[off:end])
-				}
-				c.FlushTelemetry()
-				var csv, js bytes.Buffer
-				if err := rec.WriteCSV(&csv); err != nil {
-					t.Fatal(err)
-				}
-				if err := rec.WriteJSON(&js); err != nil {
-					t.Fatal(err)
-				}
-				return c, csv.Bytes(), js.Bytes()
-			}
-
-			base, baseCSV, baseJSON := run(0)
-			for _, seed := range []int64{1, 42, 0xD15C} {
-				shuf, shufCSV, shufJSON := run(seed)
-				assertSameTraffic(t, name, base, shuf)
-				if !bytes.Equal(baseCSV, shufCSV) {
-					t.Errorf("%s seed %d: CSV telemetry series diverges under shuffled queue order:\nbase:\n%s\nshuffled:\n%s",
-						name, seed, baseCSV, shufCSV)
-				}
-				if !bytes.Equal(baseJSON, shufJSON) {
-					t.Errorf("%s seed %d: JSON telemetry series diverges under shuffled queue order", name, seed)
-				}
-			}
-			if len(baseCSV) == 0 || !bytes.Contains(baseCSV, []byte("\n")) {
-				t.Fatalf("%s: recorder produced no series", name)
-			}
-
-			// The unshuffled batched run itself matches per-line dispatch
-			// (counter identity; the per-line sample boundaries differ, so
-			// only the counters are compared here).
-			perLine := newScatterController(t, policy)
-			spanLines := uint64(2*perLine.DRAM.Capacity()) / mem.Line
-			replaySerial(perLine, scatterStream(t, spanLines))
-			assertSameTraffic(t, name+"-vs-per-line", perLine, base)
-		})
-	}
-}
-
-// TestScatterReversedQueueOrder pins the strongest fixed permutation —
-// the exact reverse, which applies every write queue before every read
-// queue — deterministically rather than through a PRNG.
-func TestScatterReversedQueueOrder(t *testing.T) {
-	perLine, batched := newRangePair(t, HardwarePolicy())
-	batched.scatShuffle = func(order []uint32) {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
-		}
-	}
-	spanLines := uint64(2*perLine.DRAM.Capacity()) / mem.Line
-	reqs := scatterStream(t, spanLines)
-	replaySerial(perLine, reqs)
-	batched.LLCScatter(reqs)
-	assertSameTraffic(t, "reversed", perLine, batched)
 }
 
 // TestScatterEmptyBatch pins that an empty batch is a no-op.

@@ -20,12 +20,14 @@
 // through the ascending-run entry points, and the final tag state as a
 // bulk stamp of the last window of sets. The interleaved writeback+read
 // fold does the same for the eviction shadow a store stream drags
-// behind its demand reads. Fallbacks: associativity > 1 (no flat entry
-// array) and the no-allocate ablations take the per-line loops;
-// DisableDDO folds (it only changes which uniform write formula
-// applies). Legality is pinned by the differential and range-split
-// tests in seqfold_test.go — byte-identical counters, channel CAS,
-// NVRAM media counters, and final tag state versus per-line dispatch.
+// behind its demand reads. Every wrap and remainder counts Table I
+// outcomes into the controller's histogram (table1.go). Fallbacks:
+// associativity > 1 (no flat entry array) and the no-allocate ablations
+// take walk; DisableDDO folds (it only changes which uniform write
+// formula applies). Legality is pinned by the differential and
+// range-split tests in seqfold_test.go and by FuzzDispatchMatchesPerLine
+// — byte-identical counters, channel CAS, NVRAM media counters, and
+// final tag state versus per-line dispatch.
 
 package imc
 
@@ -38,10 +40,7 @@ import (
 // n > 0, entries is the flat Ways==1 tag array, and ReadAllocate holds.
 // The caller flushes telemetry.
 func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
-	var d Counters
-	d.LLCRead = n
 	// Every read costs one DRAM data+tag read, hit or miss.
-	d.DRAMRead = n
 	c.DRAM.ReadRange(addr, n)
 
 	sets := c.sets
@@ -54,7 +53,7 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 	// cannot hit (its tags are one carry past the tags it installed).
 	for rem > 0 {
 		w := min(rem, sets)
-		dirtyHits := c.readProbeWrap(entries, &d, a, w)
+		dirtyHits := c.readProbeWrap(entries, a, w)
 		a += w * mem.Line
 		rem -= w
 		if dirtyHits == 0 {
@@ -64,16 +63,13 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 	// Uniform remainder: every line misses clean against this range's
 	// own install and refills.
 	if rem > 0 {
-		d.TagMissClean += rem
-		d.NVRAMRead += rem
+		c.hist[readMissClean] += rem
 		c.NVRAM.ReadLineRun(a, rem)
-		d.DRAMWrite += rem
 		c.DRAM.WriteRange(a, rem)
 		wlen := min(rem, sets)
 		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
 		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryLLCOwned)
 	}
-	c.counters = c.counters.Add(d)
 }
 
 // readProbeWrap services n consecutive read lines (n <= sets) with
@@ -81,7 +77,7 @@ func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
 // per set, and reports how many hits preserved a dirty bit — the
 // condition for another predicated wrap. The per-line DRAM data read is
 // accounted by the caller for the whole range.
-func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64) (dirtyHits uint64) {
+func (c *Controller) readProbeWrap(entries []uint64, addr, n uint64) (dirtyHits uint64) {
 	sets := c.sets
 	nch := c.nch
 	set, tag := c.Cache.Index(addr)
@@ -90,22 +86,19 @@ func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64
 	for i := uint64(0); i < n; i++ {
 		w := entries[set]
 		if w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag {
-			d.TagHit++
+			c.hist[readHit]++
 			entries[set] = w | cache.EntryLLCOwned
 			if w&cache.EntryDirty != 0 {
 				dirtyHits++
 			}
 		} else {
 			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
+				c.hist[readMissDirty]++
 				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
 			} else {
-				d.TagMissClean++
+				c.hist[readMissClean]++
 			}
-			d.NVRAMRead++
 			c.NVRAM.Read(a)
-			d.DRAMWrite++
 			c.DRAM.ChannelAt(chIdx).CASWrites++
 			entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryLLCOwned)
 		}
@@ -126,43 +119,36 @@ func (c *Controller) readProbeWrap(entries []uint64, d *Counters, addr, n uint64
 // n > 0, entries is the flat Ways==1 tag array, and WriteAllocate holds
 // (DisableDDO folds). The caller flushes telemetry.
 func (c *Controller) seqWriteRange(entries []uint64, addr, n uint64) {
-	var d Counters
-	d.LLCWrite = n
-
 	sets := c.sets
 	// One probe wrap reaches the fixed point: every write branch leaves
 	// its set valid and dirty with this wrap's tag, so the next wrap
 	// always takes the dirty-miss path.
 	head := min(n, sets)
-	c.writeProbeWrap(entries, &d, addr, head)
+	c.writeProbeWrap(entries, addr, head)
 	rem := n - head
 	if rem > 0 {
 		a := addr + head*mem.Line
 		// Tag-check read, then: victim writeback of the line one wrap
 		// back, fill, install, and the data write.
-		d.DRAMRead += rem
+		c.hist[writeMissDirty] += rem
 		c.DRAM.ReadRange(a, rem)
-		d.TagMissDirty += rem
-		d.NVRAMWrite += rem
 		c.NVRAM.WriteLineRun(a-sets*mem.Line, rem)
-		d.NVRAMRead += rem
 		c.NVRAM.ReadLineRun(a, rem)
-		d.DRAMWrite += 2 * rem
 		c.DRAM.WriteRange(a, rem)
 		c.DRAM.WriteRange(a, rem)
 		wlen := min(rem, sets)
 		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
 		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryDirty)
 	}
-	c.counters = c.counters.Add(d)
 }
 
 // writeProbeWrap services n consecutive writeback lines (n <= sets)
 // with LLCWrite's per-line semantics folded to one packed-word load and
 // store per set.
-func (c *Controller) writeProbeWrap(entries []uint64, d *Counters, addr, n uint64) {
+func (c *Controller) writeProbeWrap(entries []uint64, addr, n uint64) {
 	sets := c.sets
 	nch := c.nch
+	ddoOK := !c.policy.DisableDDO
 	set, tag := c.Cache.Index(addr)
 	chIdx := c.DRAM.ChannelIndex(addr)
 	a := addr
@@ -171,34 +157,26 @@ func (c *Controller) writeProbeWrap(entries []uint64, d *Counters, addr, n uint6
 		ch := c.DRAM.ChannelAt(chIdx)
 		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tag
 		switch {
-		case hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
+		case hit && ddoOK && w&cache.EntryLLCOwned != 0:
+			c.hist[writeDDO]++
 			ch.CASWrites++
 			entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
 		case hit:
 			// DRAM read purely for the tag check, then the data write.
-			d.DRAMRead++
+			c.hist[writeHit]++
 			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
 			ch.CASWrites++
 			entries[set] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
 		default:
-			d.DRAMRead++
 			ch.CASReads++
 			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
+				c.hist[writeMissDirty]++
 				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + set) << mem.LineShift)
 			} else {
-				d.TagMissClean++
+				c.hist[writeMissClean]++
 			}
-			d.NVRAMRead++
 			c.NVRAM.Read(a)
 			// Fill write, then the data write of the incoming line.
-			d.DRAMWrite += 2
 			ch.CASWrites += 2
 			entries[set] = cache.PackEntry(tag, cache.EntryValid|cache.EntryDirty)
 		}
@@ -249,39 +227,30 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 		return
 	}
 
-	var d Counters
-	d.LLCWrite = n
-	d.LLCRead = n
 	// Every read costs one DRAM data+tag read, hit or miss.
-	d.DRAMRead = n
 	c.DRAM.ReadRange(raddr, n)
 
 	sets := c.sets
 	head := min(n, sets)
-	c.pairProbeWrap(entries, &d, waddr, raddr, head)
+	c.pairProbeWrap(entries, waddr, raddr, head)
 	rem := n - head
 	if rem > 0 {
 		wa := waddr + head*mem.Line
 		ra := raddr + head*mem.Line
 		// Write stream: every write hits the line its paired read
 		// installed lag pairs ago and still owns.
-		d.TagHit += rem
-		if c.DisableDDO {
-			d.DRAMRead += rem
+		if c.policy.DisableDDO {
+			c.hist[writeHit] += rem
 			c.DRAM.ReadRange(wa, rem)
 		} else {
-			d.DDO += rem
+			c.hist[writeDDO] += rem
 		}
-		d.DRAMWrite += rem
 		c.DRAM.WriteRange(wa, rem)
 		// Read stream: every probe evicts the dirty line installed one
 		// set wrap back, writes it back, refills, and reinstalls.
-		d.TagMissDirty += rem
-		d.NVRAMWrite += rem
+		c.hist[readMissDirty] += rem
 		c.NVRAM.WriteLineRun(ra-sets*mem.Line, rem)
-		d.NVRAMRead += rem
 		c.NVRAM.ReadLineRun(ra, rem)
-		d.DRAMWrite += rem
 		c.DRAM.WriteRange(ra, rem)
 		// Final tag state. A set's last toucher is the read stream when
 		// no write follows it (the trailing lag pairs), the write
@@ -296,7 +265,6 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 		sr, tr := c.Cache.Index(raddr + (n-gr)*mem.Line)
 		c.Cache.StampSeqRun(sr, tr, gr, cache.EntryValid|cache.EntryLLCOwned)
 	}
-	c.counters = c.counters.Add(d)
 	if c.sink != nil {
 		c.maybeSample()
 	}
@@ -306,9 +274,10 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 // sets) predicated against arbitrary tag state, folding each op to one
 // packed-word load and store. The read stream's per-line DRAM data read
 // is accounted by the caller for the whole range.
-func (c *Controller) pairProbeWrap(entries []uint64, d *Counters, waddr, raddr, n uint64) {
+func (c *Controller) pairProbeWrap(entries []uint64, waddr, raddr, n uint64) {
 	sets := c.sets
 	nch := c.nch
+	ddoOK := !c.policy.DisableDDO
 	sw, tw := c.Cache.Index(waddr)
 	cw := c.DRAM.ChannelIndex(waddr)
 	sr, tr := c.Cache.Index(raddr)
@@ -320,51 +289,40 @@ func (c *Controller) pairProbeWrap(entries []uint64, d *Counters, waddr, raddr, 
 		ch := c.DRAM.ChannelAt(cw)
 		hit := w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tw
 		switch {
-		case hit && !c.DisableDDO && w&cache.EntryLLCOwned != 0:
-			d.DDO++
-			d.TagHit++
-			d.DRAMWrite++
+		case hit && ddoOK && w&cache.EntryLLCOwned != 0:
+			c.hist[writeDDO]++
 			ch.CASWrites++
 			entries[sw] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
 		case hit:
-			d.DRAMRead++
+			c.hist[writeHit]++
 			ch.CASReads++
-			d.TagHit++
-			d.DRAMWrite++
 			ch.CASWrites++
 			entries[sw] = (w | cache.EntryDirty) &^ cache.EntryLLCOwned
 		default:
-			d.DRAMRead++
 			ch.CASReads++
 			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
+				c.hist[writeMissDirty]++
 				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + sw) << mem.LineShift)
 			} else {
-				d.TagMissClean++
+				c.hist[writeMissClean]++
 			}
-			d.NVRAMRead++
 			c.NVRAM.Read(wa)
-			d.DRAMWrite += 2
 			ch.CASWrites += 2
 			entries[sw] = cache.PackEntry(tw, cache.EntryValid|cache.EntryDirty)
 		}
 		// Demand read op, LLCRead semantics.
 		w = entries[sr]
 		if w&cache.EntryValid != 0 && cache.EntryTagOf(w) == tr {
-			d.TagHit++
+			c.hist[readHit]++
 			entries[sr] = w | cache.EntryLLCOwned
 		} else {
 			if w&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
-				d.TagMissDirty++
-				d.NVRAMWrite++
+				c.hist[readMissDirty]++
 				c.NVRAM.Write((uint64(cache.EntryTagOf(w))*sets + sr) << mem.LineShift)
 			} else {
-				d.TagMissClean++
+				c.hist[readMissClean]++
 			}
-			d.NVRAMRead++
 			c.NVRAM.Read(ra)
-			d.DRAMWrite++
 			c.DRAM.ChannelAt(cr).CASWrites++
 			entries[sr] = cache.PackEntry(tr, cache.EntryValid|cache.EntryLLCOwned)
 		}

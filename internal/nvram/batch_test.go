@@ -88,41 +88,6 @@ func TestModuleBatchMatchesPerCall(t *testing.T) {
 	}
 }
 
-// TestDIMMBatchMatchesPerCall proves the DIMM-level batch entry points
-// (the ones the controller's deferred queues drain through) match
-// per-call dispatch on the same address sequence.
-func TestDIMMBatchMatchesPerCall(t *testing.T) {
-	const span = 4 * mem.MiB
-	mkDIMM := func() *DIMM {
-		m, err := New(1, span)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.DIMMAt(0)
-	}
-	addrs := batchAddrs(t, span)
-
-	sr, br := mkDIMM(), mkDIMM()
-	for _, a := range addrs {
-		sr.Read(a)
-	}
-	br.ReadBatch(addrs)
-	if sr.Reads != br.Reads || sr.MediaReads != br.MediaReads {
-		t.Errorf("read path diverges: per-call {%d %d}, batched {%d %d}",
-			sr.Reads, sr.MediaReads, br.Reads, br.MediaReads)
-	}
-
-	sw, bw := mkDIMM(), mkDIMM()
-	for _, a := range addrs {
-		sw.Write(a)
-	}
-	bw.WriteBatch(addrs)
-	if sw.Writes != bw.Writes || sw.MediaWrites != bw.MediaWrites {
-		t.Errorf("write path diverges: per-call {%d %d}, batched {%d %d}",
-			sw.Writes, sw.MediaWrites, bw.Writes, bw.MediaWrites)
-	}
-}
-
 // TestBatchReadsWritesCommute is the unit-level form of the dispatch
 // commutation argument: because the read path and the write path of a
 // DIMM touch disjoint state, regrouping an interleaved read/write
@@ -130,30 +95,46 @@ func TestDIMMBatchMatchesPerCall(t *testing.T) {
 // internal order) leaves every counter byte-identical.
 func TestBatchReadsWritesCommute(t *testing.T) {
 	const span = 4 * mem.MiB
-	serial, err := New(3, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split, err := New(3, span)
-	if err != nil {
-		t.Fatal(err)
-	}
 	addrs := batchAddrs(t, span)
-	var reads, writes []uint64
-	for i, a := range addrs {
-		if i%3 == 0 {
-			serial.Write(a)
-			writes = append(writes, a)
-		} else {
-			serial.Read(a)
-			reads = append(reads, a)
+	for _, dimms := range []int{1, 3, 6} {
+		serial, err := New(dimms, span)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Apply writes before reads — the opposite of every interleaving
-	// above that put a read first.
-	split.WriteBatch(writes)
-	split.ReadBatch(reads)
-	if a, b := moduleCounters(serial), moduleCounters(split); a != b {
-		t.Errorf("direction split changed counters: interleaved %v, split %v", a, b)
+		var reads, writes []uint64
+		for i, a := range addrs {
+			if i%3 == 0 {
+				serial.Write(a)
+				writes = append(writes, a)
+			} else {
+				serial.Read(a)
+				reads = append(reads, a)
+			}
+		}
+		// Both regroupings: writes before reads is the opposite of every
+		// interleaving above that put a read first.
+		for _, writesFirst := range []bool{true, false} {
+			split, err := New(dimms, span)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if writesFirst {
+				split.WriteBatch(writes)
+				split.ReadBatch(reads)
+			} else {
+				split.ReadBatch(reads)
+				split.WriteBatch(writes)
+			}
+			if a, b := moduleCounters(serial), moduleCounters(split); a != b {
+				t.Errorf("dimms=%d writesFirst=%v: direction split changed counters: interleaved %v, split %v",
+					dimms, writesFirst, a, b)
+			}
+			for i := 0; i < dimms; i++ {
+				if sd, bd := *serial.DIMMAt(i), *split.DIMMAt(i); sd.Reads != bd.Reads || sd.Writes != bd.Writes ||
+					sd.MediaReads != bd.MediaReads || sd.MediaWrites != bd.MediaWrites {
+					t.Errorf("dimms=%d writesFirst=%v: DIMM %d diverges", dimms, writesFirst, i)
+				}
+			}
+		}
 	}
 }

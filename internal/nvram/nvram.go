@@ -122,77 +122,6 @@ func (d *DIMM) Write(addr uint64) {
 	d.haveLastWrite = true
 }
 
-// ReadBatch records a read transaction for every address in order.
-// Byte-identical to calling Read per address; the merge memo lives in
-// locals across the loop instead of being reloaded per transaction.
-func (d *DIMM) ReadBatch(addrs []uint64) {
-	last, have := d.lastReadBlock, d.haveLastRead
-	var media uint64
-	for _, a := range addrs {
-		block := a / MediaBlock
-		if have && block == last {
-			continue
-		}
-		media++
-		last = block
-		have = true
-	}
-	d.Reads += uint64(len(addrs))
-	d.MediaReads += media
-	d.lastReadBlock, d.haveLastRead = last, have
-}
-
-// WriteBatch records a write transaction for every address in order.
-// Byte-identical to calling Write per address, with the combining-
-// buffer bookkeeping hoisted into locals across the loop.
-func (d *DIMM) WriteBatch(addrs []uint64) {
-	last, have := d.lastWriteBlock, d.haveLastWrite
-	bound := d.xpbufBound
-	blen, bnext := d.xpbufLen, d.xpbufNext
-	var media uint64
-	for _, a := range addrs {
-		block := a / MediaBlock
-		if have && block == last {
-			continue
-		}
-		if block <= bound {
-			merged := false
-			for i := 0; i < blen; i++ {
-				if d.xpbuf[i] == block {
-					merged = true
-					break
-				}
-			}
-			if merged {
-				last = block
-				have = true
-				continue
-			}
-		}
-		media++
-		if blen < xpBufferEntries {
-			d.xpbuf[blen] = block
-			blen++
-		} else {
-			d.xpbuf[bnext] = block
-			bnext++
-			if bnext == xpBufferEntries {
-				bnext = 0
-			}
-		}
-		if block > bound {
-			bound = block
-		}
-		last = block
-		have = true
-	}
-	d.Writes += uint64(len(addrs))
-	d.MediaWrites += media
-	d.lastWriteBlock, d.haveLastWrite = last, have
-	d.xpbufBound = bound
-	d.xpbufLen, d.xpbufNext = blen, bnext
-}
-
 // WriteAmplification returns media bytes written per interface byte
 // written (1.0 = perfect merging, 4.0 = no merging).
 func (d *DIMM) WriteAmplification() float64 {
@@ -247,33 +176,14 @@ func (m *Module) DIMMs() int { return len(m.dimms) }
 // Capacity returns the module capacity in bytes.
 func (m *Module) Capacity() uint64 { return m.capacity }
 
-// dimm maps a line address onto its interleaved DIMM. Optane interleave
-// granularity is 4 KiB on real platforms. Six DIMMs per socket is not a
-// power of two, so the interleave mod uses a precomputed reciprocal.
+// interleaveGranularity is the byte granularity at which consecutive
+// address chunks rotate across the DIMM set: 4 KiB on real platforms.
+// Six DIMMs per socket is not a power of two, so the interleave mod
+// uses a precomputed reciprocal.
 const interleaveGranularity = 4 * 1024
-
-// InterleaveGranularity is the byte granularity at which consecutive
-// address chunks rotate across the DIMM set, exported for dispatchers
-// that partition deferred traffic per DIMM.
-const InterleaveGranularity = interleaveGranularity
-
-func (m *Module) dimm(addr uint64) *DIMM {
-	return m.dimms[m.dimmDiv.Mod(addr/interleaveGranularity)]
-}
-
-// DIMMIndex maps an address to the index of the DIMM that services it.
-// The interleave map is a pure function of the address.
-func (m *Module) DIMMIndex(addr uint64) int {
-	return int(m.dimmDiv.Mod(addr / interleaveGranularity))
-}
 
 // DIMMAt returns the i-th DIMM of the interleave set.
 func (m *Module) DIMMAt(i int) *DIMM { return m.dimms[i] }
-
-// DIMMDivisor returns the precomputed DIMM-count divisor, so hot
-// dispatch loops can inline the interleave map instead of paying a
-// method call per deferred operation.
-func (m *Module) DIMMDivisor() fastdiv.Divisor { return m.dimmDiv }
 
 // Read records one 64 B read transaction at addr.
 func (m *Module) Read(addr uint64) {

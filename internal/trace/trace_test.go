@@ -9,12 +9,20 @@ import (
 	"testing/quick"
 
 	"twolm/internal/core"
+	"twolm/internal/imc"
 	"twolm/internal/kernels"
 	"twolm/internal/mem"
 	"twolm/internal/platform"
 )
 
 func newSystem(t *testing.T, mode core.Mode) *core.System {
+	t.Helper()
+	return newPolicySystem(t, mode, nil)
+}
+
+// newPolicySystem is newSystem with a 2LM controller policy override
+// (nil selects the hardware policy).
+func newPolicySystem(t *testing.T, mode core.Mode, policy *imc.Policy) *core.System {
 	t.Helper()
 	sys, err := core.New(core.Config{
 		Platform: platform.Config{
@@ -25,6 +33,7 @@ func newSystem(t *testing.T, mode core.Mode) *core.System {
 		},
 		Mode:     mode,
 		LLCBytes: 16 * mem.KiB,
+		Policy:   policy,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -199,8 +208,9 @@ func TestReplayAcrossPolicies(t *testing.T) {
 	raw := buf.Bytes()
 
 	run := func(disableDDO bool) uint64 {
-		sys := newSystem(t, core.Mode2LM)
-		sys.Controller().DisableDDO = disableDDO
+		policy := imc.HardwarePolicy()
+		policy.DisableDDO = disableDDO
+		sys := newPolicySystem(t, core.Mode2LM, &policy)
 		if _, err := Replay(sys, bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}

@@ -13,8 +13,8 @@
 // (default: one per CPU); artifacts and report order are identical at
 // every worker count because each experiment builds its own system and
 // outcomes are merged by job order, not completion order. -channels
-// sets the IMC channel count of the multichannel sharding self-check
-// (default 6, the Cascade Lake socket).
+// sets the IMC channel count of the multichannel self-check (default
+// 6, the Cascade Lake socket).
 //
 // -metrics-addr serves the run live in Prometheus text exposition
 // format at http://host:port/metrics: job-completion progress gauges,
@@ -154,11 +154,10 @@ func run(rc runcfg.Common) error {
 	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
 	cfg.Multi.Channels = rc.Channels
 	if prom != nil {
-		// The sharding self-check publishes each scenario's samples
+		// The multichannel self-check publishes each scenario's samples
 		// under its scenario name; Prom locks internally, so it is safe
 		// to share across parallel jobs.
 		cfg.Multi.Telemetry = prom
-		cfg.Multi.SampleEvery = 4096
 	}
 	jobs := engine.Suite(cfg)
 	if rc.Parallel > 1 {

@@ -5,10 +5,10 @@
 // either delegate to Add or touch every field itself.
 //
 // The invariant this encodes is the paper's headline property: the
-// serial controller, the channel-sharded engine, and the batched
-// range paths must produce byte-identical imc.Counters. A new counter
-// field that is bumped on the request path but missing from Add is
-// exactly the kind of silent parallel-vs-serial divergence the
+// serial controller, its line-interleaved channel split, and the
+// batched range paths must produce byte-identical imc.Counters. A new
+// counter field that is bumped on the request path but missing from
+// Add is exactly the kind of silent split-vs-serial divergence the
 // differential tests can only catch if a workload happens to exercise
 // it; counterdrift makes it a lint failure on every build.
 package counterdrift
@@ -25,7 +25,7 @@ var Analyzer = &lintkit.Analyzer{
 	Name: "counterdrift",
 	Doc: "every Counters field must be referenced in Add, Sub, and String, " +
 		"and Merge* aggregators must use Add or touch every field; guards " +
-		"byte-identical counters across serial, sharded, and batched paths",
+		"byte-identical counters across serial, channel-split, and batched paths",
 	Run: run,
 }
 
@@ -87,7 +87,7 @@ func checkMethods(pass *lintkit.Pass, named *types.Named, fields []*types.Var) {
 		for _, fv := range fields {
 			if !touched[fv] {
 				pass.Reportf(fv.Pos(),
-					"counter field %s is not referenced in Counters.%s; a field outside the %s path silently diverges between the serial, sharded, and batched engines",
+					"counter field %s is not referenced in Counters.%s; a field outside the %s path silently diverges between the serial, channel-split, and batched paths",
 					fv.Name(), name, name)
 			}
 		}

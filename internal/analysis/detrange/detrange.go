@@ -1,6 +1,6 @@
 // Package detrange guards determinism in every code path that feeds
-// counters, results artifacts, or replay logs. The channel-sharded
-// engine's counter-exactness proof and the byte-identical artifact
+// counters, results artifacts, or replay logs. The multichannel
+// self-check's counter-exactness proof and the byte-identical artifact
 // contract (diff -r between -parallel runs) both assume that
 // simulator code never observes nondeterministic ordering or ambient
 // entropy. Three constructs break that silently:

@@ -1,6 +1,6 @@
 // Package shardsafe flags shared mutable state reachable from
 // declared hot entry points — the static form of the discipline that
-// lets sweep workers and engine.Sharded drive many controllers
+// lets sweep workers and parallel suite jobs drive many controllers
 // concurrently: per-instance state must be confined to the instance.
 //
 // Two checks, both interprocedural over the lintkit call graph:
@@ -22,6 +22,8 @@
 //     must acquire it (len/cap-only touches are exempt). This is the
 //     PR 4 engine.Sharded shape: workers mutate controllers behind
 //     s.shards while an unlocked Counters() walks the same slice.
+//     The channel-sharded engine has since been replaced by a serial
+//     loop; testdata/src/sharded keeps its shape as a regression case.
 package shardsafe
 
 import (

@@ -7,7 +7,7 @@
 // Scoping, from ISSUE/DESIGN:
 //
 //   - hotdiv runs on the per-line hot packages (imc, cache, dram,
-//     nvram, core) plus the sharded engine's routing layer;
+//     nvram, core) plus the engine's channel-split routing;
 //   - detrange additionally covers every package that feeds counters,
 //     results artifacts, or replay logs (mem, trace, results, and the
 //     telemetry surface, whose serialized series are byte-identical

@@ -1,12 +1,26 @@
 // Multi-channel amplification experiment. The paper's platform
 // interleaves 2LM traffic across 6 IMC channels per socket; the
-// single-controller model aggregates them. This experiment drives the
-// Table-I access scenarios through a channel-sharded controller,
-// demonstrating (a) that the line-interleaved split preserves the exact
-// merged counters of the serial model — the determinism guarantee the
-// parallel engine rests on — and (b) how evenly the 2LM amplification
-// load spreads across channels, which is what makes per-channel
-// controller parallelism representative of the real socket.
+// single-controller model aggregates them. This experiment replays the
+// Table-I access scenarios both through one serial controller and
+// through N single-channel controllers fed a line-interleaved split of
+// the same stream, demonstrating (a) that the split preserves the
+// serial model's counters exactly and (b) how evenly the 2LM
+// amplification load spreads across channels.
+//
+// # Why the split is exact
+//
+// Channel split routes line address L to channel L mod N at the
+// channel-local line L div N — how the socket's system address decoder
+// interleaves consecutive lines across IMC channels. When N divides
+// the serial controller's set count (always true for the Cascade Lake
+// geometry, whose capacities carry the factor 6), serial set s lands
+// on channel s mod N as local set s div N, bijectively, and a line's
+// local tag equals its serial tag. Cache decisions (hit, clean/dirty
+// miss, victim choice, LRU order, ownership bits) are purely per-set,
+// so each channel reproduces the serial per-set decision sequences and
+// the field-wise merge of the channel counters equals the serial
+// counters. TestChannelSplitMatchesSerial asserts this over random
+// streams.
 
 package engine
 
@@ -14,6 +28,7 @@ import (
 	"fmt"
 
 	"twolm/internal/dram"
+	"twolm/internal/fastdiv"
 	"twolm/internal/imc"
 	"twolm/internal/mem"
 	"twolm/internal/nvram"
@@ -22,23 +37,20 @@ import (
 	"twolm/internal/telemetry"
 )
 
-// MultiChannelConfig parameterizes the sharded-controller experiment.
+// MultiChannelConfig parameterizes the channel-split experiment.
 type MultiChannelConfig struct {
 	// Scale is the footprint divisor (power of two; default 8192).
 	Scale uint64
-	// Channels is the shard count (default 6, the Cascade Lake socket).
+	// Channels is the channel count (default 6, the Cascade Lake socket).
 	Channels int
-	// Workers bounds the goroutines driving the sharded replay
-	// (default: one per channel).
-	Workers int
-	// Telemetry, when non-nil, receives counter samples from the
-	// sharded replay of every scenario, labeled with the scenario
-	// name and sampled every SampleEvery demand lines.
+	// Telemetry, when non-nil, receives the serial reference's counter
+	// samples for every scenario, labeled with the scenario name and
+	// sampled every sampleEvery demand lines.
 	Telemetry telemetry.Sink
-	// SampleEvery is the telemetry sampling interval in demand lines
-	// (0 samples at every replay chunk).
-	SampleEvery uint64
 }
+
+// sampleEvery is the telemetry sampling interval in demand lines.
+const sampleEvery = 4096
 
 // DefaultMultiChannelConfig returns the paper-geometry configuration.
 func DefaultMultiChannelConfig() MultiChannelConfig {
@@ -53,16 +65,19 @@ func (c MultiChannelConfig) withDefaults() MultiChannelConfig {
 	if c.Channels == 0 {
 		c.Channels = d.Channels
 	}
-	if c.Workers == 0 {
-		c.Workers = c.Channels
-	}
 	return c
+}
+
+// llcOp is one LLC-level request: a demand read or a writeback.
+type llcOp struct {
+	Write bool
+	Addr  uint64
 }
 
 // mcScenario is one IMC-level workload of the experiment.
 type mcScenario struct {
 	name string
-	ops  func(cacheLines uint64) []Op
+	ops  func(cacheLines uint64) []llcOp
 }
 
 // mcScenarios generates the Table-I regimes as LLC-level op streams.
@@ -70,32 +85,32 @@ type mcScenario struct {
 // the second half aliases the first in a direct-mapped cache.
 func mcScenarios() []mcScenario {
 	return []mcScenario{
-		{"read miss (clean)", func(lines uint64) []Op {
+		{"read miss (clean)", func(lines uint64) []llcOp {
 			// One sequential pass over 2x the cache: every read misses
 			// clean (nothing is ever dirty).
-			ops := make([]Op, 0, 2*lines)
+			ops := make([]llcOp, 0, 2*lines)
 			for i := uint64(0); i < 2*lines; i++ {
-				ops = append(ops, Op{Addr: i * mem.Line})
+				ops = append(ops, llcOp{Addr: i * mem.Line})
 			}
 			return ops
 		}},
-		{"write miss (dirty)", func(lines uint64) []Op {
+		{"write miss (dirty)", func(lines uint64) []llcOp {
 			// Two NT-store passes: the first dirties the cache, the
 			// second passes' aliasing writes miss dirty.
-			ops := make([]Op, 0, 4*lines)
+			ops := make([]llcOp, 0, 4*lines)
 			for pass := 0; pass < 2; pass++ {
 				for i := uint64(0); i < 2*lines; i++ {
-					ops = append(ops, Op{Write: true, Addr: i * mem.Line})
+					ops = append(ops, llcOp{Write: true, Addr: i * mem.Line})
 				}
 			}
 			return ops
 		}},
-		{"rmw (ddo writeback)", func(lines uint64) []Op {
+		{"rmw (ddo writeback)", func(lines uint64) []llcOp {
 			// Read-for-ownership then writeback of a resident line: the
 			// writeback takes the Dirty Data Optimization.
-			ops := make([]Op, 0, 2*lines)
+			ops := make([]llcOp, 0, 2*lines)
 			for i := uint64(0); i < lines; i++ {
-				ops = append(ops, Op{Addr: i * mem.Line}, Op{Write: true, Addr: i * mem.Line})
+				ops = append(ops, llcOp{Addr: i * mem.Line}, llcOp{Write: true, Addr: i * mem.Line})
 			}
 			return ops
 		}},
@@ -103,9 +118,10 @@ func mcScenarios() []mcScenario {
 }
 
 // MultiChannel runs the experiment and returns the result table. It
-// errors if any scenario's sharded merged counters diverge from the
-// serial single-controller run — that equality is a correctness
-// property, not a statistic.
+// errors if the channel count does not split the platform's capacities
+// into whole sets and lines, and if any scenario's merged channel
+// counters diverge from the serial run — that equality is a
+// correctness property, not a statistic.
 func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
 	cfg = cfg.withDefaults()
 	plat := platform.CascadeLake(1, cfg.Scale, 24)
@@ -118,81 +134,125 @@ func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
 		"scenario", "demand", "amplification", "counters_match", "channel_balance")
 
 	for _, sc := range mcScenarios() {
-		serial, err := newSerialController(plat)
+		split, err := newChannelSplit(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy())
 		if err != nil {
 			return nil, err
 		}
-		sharded, err := NewSharded(ShardConfig{
-			Channels:      cfg.Channels,
-			DRAMCapacity:  plat.DRAMSize(),
-			NVRAMCapacity: plat.NVRAMSize(),
-			Policy:        imc.HardwarePolicy(),
-		})
+		// The serial reference gets cfg.Channels DRAM channels, so its
+		// samples carry one CAS slot per split channel. The imc hook
+		// fires at range boundaries; one-line ranges sample per op.
+		serial, err := newController(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize(),
+			imc.WithTelemetry(telemetry.WithLabel(cfg.Telemetry, sc.name), sampleEvery))
 		if err != nil {
 			return nil, err
 		}
-		ops := sc.ops(plat.DRAMSize() / mem.Line)
-
-		for _, op := range ops {
+		for _, op := range sc.ops(plat.DRAMSize() / mem.Line) {
 			if op.Write {
-				serial.LLCWrite(op.Addr)
+				serial.LLCWriteRange(op.Addr, 1)
 			} else {
-				serial.LLCRead(op.Addr)
+				serial.LLCReadRange(op.Addr, 1)
 			}
+			split.apply(op)
 		}
-		if cfg.Telemetry != nil {
-			sharded.SetTelemetry(telemetry.WithLabel(cfg.Telemetry, sc.name), cfg.SampleEvery)
-		}
-		sharded.ReplayParallel(ops, cfg.Workers)
-		sharded.FlushTelemetry()
+		serial.FlushTelemetry()
 
-		sctr, mctr := serial.Counters(), sharded.Counters()
+		channels := split.counters()
+		sctr, mctr := serial.Counters(), MergeCounters(channels...)
 		if sctr != mctr {
-			return nil, fmt.Errorf("engine: %s: sharded counters diverge from serial:\n serial  %v\n sharded %v",
+			return nil, fmt.Errorf("engine: %s: channel counters diverge from serial:\n serial %v\n merged %v",
 				sc.name, sctr, mctr)
 		}
 		table.AddRow(sc.name,
 			fmt.Sprint(mctr.Demand()),
 			fmt.Sprintf("%.3f", mctr.Amplification()),
 			"yes",
-			fmt.Sprintf("%.3f", channelBalance(sharded.ChannelCounters())))
+			fmt.Sprintf("%.3f", channelBalance(channels)))
 	}
 	return table, nil
 }
 
-// newSerialController builds the single-controller reference for the
-// platform geometry, mirroring how core.System assembles its 2LM path.
-func newSerialController(plat platform.Config) (*imc.Controller, error) {
-	d, err := dram.New(plat.Channels(), plat.DRAMSize())
+// newController assembles a controller over a DRAM cache and NVRAM
+// space of the given sizes, both interleaved over `channels`.
+func newController(channels int, dramBytes, nvramBytes uint64, opts ...imc.Option) (*imc.Controller, error) {
+	d, err := dram.New(channels, dramBytes)
 	if err != nil {
 		return nil, err
 	}
-	nv, err := nvram.New(plat.Channels(), plat.NVRAMSize())
+	nv, err := nvram.New(channels, nvramBytes)
 	if err != nil {
 		return nil, err
 	}
-	return imc.New(d, nv)
+	return imc.New(d, nv, opts...)
+}
+
+// channelSplit is N single-channel controllers over a line-interleaved
+// address split, each owning 1/N of the DRAM cache and NVRAM space.
+type channelSplit struct {
+	ctrls []*imc.Controller
+	n     fastdiv.Divisor
+}
+
+// newChannelSplit builds the split. Each channel's DRAM slice must hold
+// a whole number of sets and its NVRAM slice a whole number of lines,
+// which is what makes the split counter-identical to a serial run.
+func newChannelSplit(channels int, dramBytes, nvramBytes uint64, policy imc.Policy) (*channelSplit, error) {
+	if channels < 1 {
+		return nil, fmt.Errorf("engine: channel count %d must be positive", channels)
+	}
+	if policy.Ways < 1 {
+		return nil, fmt.Errorf("engine: policy ways %d must be >= 1", policy.Ways)
+	}
+	n := uint64(channels)
+	if dramBytes == 0 || dramBytes%(n*uint64(policy.Ways)*mem.Line) != 0 {
+		return nil, fmt.Errorf("engine: DRAM capacity %d must split into %d channels of whole %d-way sets",
+			dramBytes, channels, policy.Ways)
+	}
+	if nvramBytes == 0 || nvramBytes%(n*mem.Line) != 0 {
+		return nil, fmt.Errorf("engine: NVRAM capacity %d must split into %d channels of whole lines",
+			nvramBytes, channels)
+	}
+	s := &channelSplit{ctrls: make([]*imc.Controller, channels), n: fastdiv.New(n)}
+	for i := range s.ctrls {
+		ctrl, err := newController(1, dramBytes/n, nvramBytes/n, imc.WithPolicy(policy))
+		if err != nil {
+			return nil, fmt.Errorf("engine: channel %d: %w", i, err)
+		}
+		s.ctrls[i] = ctrl
+	}
+	return s, nil
+}
+
+// apply routes op to channel line mod N at the channel-local line
+// line div N, keeping the sub-line offset.
+func (s *channelSplit) apply(op llcOp) {
+	q, r := s.n.DivMod(op.Addr >> mem.LineShift)
+	local := q<<mem.LineShift | op.Addr&(mem.Line-1)
+	if op.Write {
+		s.ctrls[r].LLCWrite(local)
+	} else {
+		s.ctrls[r].LLCRead(local)
+	}
+}
+
+// counters returns each channel's counters in channel order.
+func (s *channelSplit) counters() []imc.Counters {
+	out := make([]imc.Counters, len(s.ctrls))
+	for i, c := range s.ctrls {
+		out[i] = c.Counters()
+	}
+	return out
 }
 
 // channelBalance returns min/max per-channel demand — 1.0 is a
 // perfectly even spread, the line-interleaved ideal for streaming
-// workloads.
+// workloads. cs holds at least one channel.
 func channelBalance(cs []imc.Counters) float64 {
-	if len(cs) == 0 {
-		return 0
-	}
-	min, max := cs[0].Demand(), cs[0].Demand()
+	lo, hi := cs[0].Demand(), cs[0].Demand()
 	for _, c := range cs[1:] {
-		d := c.Demand()
-		if d < min {
-			min = d
-		}
-		if d > max {
-			max = d
-		}
+		lo, hi = min(lo, c.Demand()), max(hi, c.Demand())
 	}
-	if max == 0 {
+	if hi == 0 {
 		return 0
 	}
-	return float64(min) / float64(max)
+	return float64(lo) / float64(hi)
 }

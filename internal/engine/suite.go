@@ -286,7 +286,8 @@ func Suite(cfg SuiteConfig) []Job {
 		tableJob("codesign_dma", func() (*results.Table, error) { return experiments.CoDesign(cnn) }),
 		tableJob("embedding_dlrm", func() (*results.Table, error) { return experiments.EmbedStudy(embed) }),
 
-		// Engine self-check: sharded channels reproduce serial counters.
+		// Engine self-check: a line-interleaved channel split reproduces
+		// serial counters.
 		tableJob("multichannel_sharding", func() (*results.Table, error) { return MultiChannel(cfg.Multi) }),
 
 		// Final acceptance pass: the paper's claims, re-verified on this

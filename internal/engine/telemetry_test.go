@@ -7,59 +7,8 @@ import (
 	"testing"
 
 	"twolm/internal/core"
-	"twolm/internal/dram"
-	"twolm/internal/imc"
-	"twolm/internal/nvram"
 	"twolm/internal/telemetry"
 )
-
-// newTestSerialChannels builds the single-controller reference with a
-// multi-channel DRAM module, so its per-channel CAS counters can be
-// compared element-wise against a sharded run's concatenated shards.
-func newTestSerialChannels(t *testing.T, channels int, policy imc.Policy, opts ...imc.Option) *imc.Controller {
-	t.Helper()
-	d, err := dram.New(channels, testDRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nv, err := nvram.New(1, testNVRAM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := imc.New(d, nv, append([]imc.Option{imc.WithPolicy(policy)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ctrl
-}
-
-// telemetryPolicies is the differential-test policy matrix: every
-// ablation crossed with direct-mapped and 4-way associativity.
-func telemetryPolicies() map[string]imc.Policy {
-	base := map[string]imc.Policy{}
-	hw := imc.HardwarePolicy()
-	base["hardware"] = hw
-	noWA := hw
-	noWA.WriteAllocate = false
-	base["no-write-allocate"] = noWA
-	noRA := hw
-	noRA.ReadAllocate = false
-	base["no-read-allocate"] = noRA
-	noDDO := hw
-	noDDO.DisableDDO = true
-	base["no-ddo"] = noDDO
-
-	out := map[string]imc.Policy{}
-	for name, p := range base {
-		p1 := p
-		p1.Ways = 1
-		out[name+"-w1"] = p1
-		p4 := p
-		p4.Ways = 4
-		out[name+"-w4"] = p4
-	}
-	return out
-}
 
 // renderSeries serializes a recorded series both ways for byte-level
 // comparison.
@@ -73,72 +22,6 @@ func renderSeries(t *testing.T, rec *telemetry.Recorder) (csv, js []byte) {
 		t.Fatal(err)
 	}
 	return cbuf.Bytes(), jbuf.Bytes()
-}
-
-// TestTelemetrySerialVsSharded is the tentpole determinism property of
-// the telemetry surface: over the same op stream, a serial
-// imc.Controller with an attached recorder and a sharded parallel
-// replay record byte-identical CSV and JSON series — same demand
-// sample points, same merged counters, same concatenated per-channel
-// CAS slices — for every policy ablation at Ways 1 and 4, and the
-// series is identical across repeated runs.
-func TestTelemetrySerialVsSharded(t *testing.T) {
-	const (
-		channels = 6
-		workers  = 4
-		every    = 512
-		nops     = 20000
-	)
-	for name, policy := range telemetryPolicies() {
-		ops := randomOps(int64(len(name)), nops)
-
-		runSerial := func() (csv, js []byte) {
-			rec := telemetry.NewRecorder()
-			ctrl := newTestSerialChannels(t, channels, policy, imc.WithTelemetry(rec, every))
-			// One-line ranges keep the hook firing per op, matching the
-			// sharded replay's per-op demand clock.
-			for _, op := range ops {
-				if op.Write {
-					ctrl.LLCWriteRange(op.Addr, 1)
-				} else {
-					ctrl.LLCReadRange(op.Addr, 1)
-				}
-			}
-			ctrl.FlushTelemetry()
-			return renderSeries(t, rec)
-		}
-		runSharded := func() (csv, js []byte) {
-			rec := telemetry.NewRecorder()
-			sharded := newTestSharded(t, channels, policy)
-			sharded.SetTelemetry(rec, every)
-			sharded.ReplayParallel(ops, workers)
-			sharded.FlushTelemetry()
-			return renderSeries(t, rec)
-		}
-
-		sCSV, sJSON := runSerial()
-		pCSV, pJSON := runSharded()
-		if len(sCSV) == 0 || !bytes.Contains(sCSV, []byte("\n")) {
-			t.Fatalf("%s: serial recorder produced no series", name)
-		}
-		if !bytes.Equal(sCSV, pCSV) {
-			t.Errorf("%s: CSV series diverge between serial and sharded runs:\nserial:\n%s\nsharded:\n%s",
-				name, sCSV, pCSV)
-		}
-		if !bytes.Equal(sJSON, pJSON) {
-			t.Errorf("%s: JSON series diverge between serial and sharded runs", name)
-		}
-
-		// Repeated runs are byte-identical too.
-		sCSV2, sJSON2 := runSerial()
-		pCSV2, pJSON2 := runSharded()
-		if !bytes.Equal(sCSV, sCSV2) || !bytes.Equal(sJSON, sJSON2) {
-			t.Errorf("%s: serial series not reproducible across runs", name)
-		}
-		if !bytes.Equal(pCSV, pCSV2) || !bytes.Equal(pJSON, pJSON2) {
-			t.Errorf("%s: sharded series not reproducible across runs", name)
-		}
-	}
 }
 
 // TestTelemetrySeqFoldBoundaries pins telemetry byte-identity across
@@ -178,94 +61,6 @@ func TestTelemetrySeqFoldBoundaries(t *testing.T) {
 			if !bytes.Equal(foldJSON, lineJSON) {
 				t.Errorf("mode=%v every=%d: JSON series diverge between folded and per-line runs", mode, every)
 			}
-		}
-	}
-}
-
-// TestTelemetryShardedSamplePoints pins the demand-boundary rule: with
-// interval E, samples land exactly at multiples of E plus a final
-// flush sample at the stream tail.
-func TestTelemetryShardedSamplePoints(t *testing.T) {
-	const every = 1000
-	ops := randomOps(11, 4500)
-	rec := telemetry.NewRecorder()
-	s := newTestSharded(t, 6, imc.HardwarePolicy())
-	s.SetTelemetry(rec, every)
-	s.ReplayParallel(ops, 4)
-	s.FlushTelemetry()
-	want := []uint64{1000, 2000, 3000, 4000, 4500}
-	if rec.Len() != len(want) {
-		t.Fatalf("recorded %d samples, want %d", rec.Len(), len(want))
-	}
-	for i, sample := range rec.Samples() {
-		if sample.Demand != want[i] {
-			t.Errorf("sample %d at demand %d, want %d", i, sample.Demand, want[i])
-		}
-	}
-	// Flushing again without progress records nothing.
-	s.FlushTelemetry()
-	if rec.Len() != len(want) {
-		t.Error("idle FlushTelemetry recorded a duplicate sample")
-	}
-}
-
-// TestCountersDuringReplayParallel is the regression test for the
-// mid-run observation race: Counters, ChannelCounters and Snapshot
-// used to read shard state while replay workers were writing it. Under
-// the documented contract they now block until the replay completes;
-// this test drives them concurrently with a parallel replay and must
-// stay clean under -race.
-func TestCountersDuringReplayParallel(t *testing.T) {
-	ops := randomOps(99, 100000)
-	s := newTestSharded(t, 6, imc.HardwarePolicy())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
-			_ = s.Counters()
-			_ = s.ChannelCounters()
-			_ = s.Snapshot()
-		}
-	}()
-	s.ReplayParallel(ops, 4)
-	<-done
-
-	serial := newTestSerial(t, imc.HardwarePolicy())
-	replaySerial(serial, ops)
-	if got, want := s.Counters(), serial.Counters(); got != want {
-		t.Errorf("counters after concurrent observation diverge from serial:\n sharded %v\n serial  %v", got, want)
-	}
-}
-
-// TestShardedSnapshotChannels: the sharded snapshot's channel slices
-// concatenate the shards in channel order and agree with the serial
-// controller's per-channel DRAM counters.
-func TestShardedSnapshotChannels(t *testing.T) {
-	const channels = 3
-	ops := randomOps(5, 8000)
-
-	s := newTestSharded(t, channels, imc.HardwarePolicy())
-	s.Replay(ops)
-	snap := s.Snapshot()
-	if len(snap.ChannelReads) != channels || len(snap.ChannelWrites) != channels {
-		t.Fatalf("snapshot has %d/%d channel slots, want %d",
-			len(snap.ChannelReads), len(snap.ChannelWrites), channels)
-	}
-
-	serial := newTestSerialChannels(t, channels, imc.HardwarePolicy())
-	for _, op := range ops {
-		if op.Write {
-			serial.LLCWrite(op.Addr)
-		} else {
-			serial.LLCRead(op.Addr)
-		}
-	}
-	want := serial.Snapshot()
-	for i := 0; i < channels; i++ {
-		if snap.ChannelReads[i] != want.ChannelReads[i] || snap.ChannelWrites[i] != want.ChannelWrites[i] {
-			t.Errorf("channel %d: sharded (%d,%d) vs serial (%d,%d)",
-				i, snap.ChannelReads[i], snap.ChannelWrites[i],
-				want.ChannelReads[i], want.ChannelWrites[i])
 		}
 	}
 }

@@ -323,8 +323,8 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 // Snapshot implements telemetry.Source: the controller counters plus
 // per-channel DRAM CAS counts. NVRAM media counters are deliberately
 // absent — media merging depends on how the address stream is
-// partitioned over combining buffers, which serial and sharded
-// executions do differently; use nvram.Module.Snapshot for media.
+// partitioned over combining buffers, which a serial controller and
+// a line-interleaved channel split do differently; use nvram.Module.Snapshot for media.
 func (c *Controller) Snapshot() telemetry.Sample {
 	ctr := c.Counters()
 	s := telemetry.Sample{

@@ -77,8 +77,8 @@ type scatterState struct {
 	// from discarding the loads as dead code (which would silently
 	// turn the touch into pure bounds checks and reintroduce the
 	// stalls it exists to hide). Controller-owned rather than a
-	// package variable so concurrent controllers — engine shards,
-	// sweep workers — never share a write target.
+	// package variable so concurrent controllers (sweep workers, the
+	// suite's parallel jobs) never share a write target.
 	touchSink uint64
 
 	// Per-chunk scratch of the resolve pass.

@@ -142,8 +142,8 @@ type Module struct {
 	// separately because the controller's miss path interleaves a
 	// sequential victim-writeback stream with a sequential fill-read
 	// stream, and a shared memo would thrash between the two. A Module
-	// is driven by one goroutine (the sharded engine gives each shard
-	// its own modules), so the memo fields need no synchronization.
+	// is driven by one goroutine (every controller owns its modules),
+	// so the memo fields need no synchronization.
 	lastReadChunk  uint64
 	lastRead       *DIMM
 	lastWriteChunk uint64
@@ -459,8 +459,9 @@ func (m *Module) WriteAmplification() float64 {
 // interface and media counters. This is the one telemetry source that
 // carries media-block counts: merging depends on how the address
 // stream is partitioned over the combining buffers, so media counters
-// are meaningful per module but are excluded from the controller- and
-// engine-level samples compared across serial and sharded runs.
+// are meaningful per module but are excluded from controller samples,
+// which a serial controller and a line-interleaved channel split of the
+// same stream must agree on.
 func (m *Module) Snapshot() telemetry.Sample {
 	return telemetry.Sample{
 		NVRAMRead:   m.TotalReads(),

@@ -35,7 +35,7 @@ type Common struct {
 	Quick bool
 	// Parallel is the experiment worker count (1 = serial).
 	Parallel int
-	// Channels is the IMC channel count for sharded runs.
+	// Channels is the IMC channel count of the multichannel self-check.
 	Channels int
 	// MetricsAddr, when nonempty, is the listen address of the
 	// Prometheus /metrics endpoint.
@@ -70,7 +70,7 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.Uint64Var(&c.Scale, "scale", c.Scale, "footprint scale divisor (power of two)")
 	fs.BoolVar(&c.Quick, "quick", c.Quick, "small footprints for a fast pass")
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
-	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels for sharded runs")
+	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels of the multichannel self-check")
 	c.RegisterMetrics(fs)
 }
 

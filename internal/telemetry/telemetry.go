@@ -11,9 +11,9 @@
 // results.Table — each with its own sampling and serialization
 // conventions. telemetry replaces that scatter with a single seam:
 //
-//   - Source is implemented by imc.Controller, engine.Sharded,
-//     core.System and nvram.Module; a Snapshot is cheap and always
-//     consistent because every producer is single-writer.
+//   - Source is implemented by imc.Controller, core.System and
+//     nvram.Module; a Snapshot is cheap and always consistent because
+//     every producer is single-writer.
 //   - Sink has three shipped implementations: Recorder (deterministic
 //     in-memory time series with CSV/JSON writers), TraceSink (the
 //     Figure 5-9-style artifact writer), and Prom (Prometheus text
@@ -25,15 +25,13 @@
 // samples when its cumulative LLC demand count crosses a multiple of
 // the configured interval. Wall clocks never enter a Sample (the
 // detrange analyzer enforces this package-wide), so a recorded series
-// is byte-identical across runs and — because the sharded engine's
-// merged counters equal the serial controller's at every op-stream
-// prefix — across serial and channel-sharded executions of the same
-// op stream. TestRecorderSerialVsSharded pins this.
+// is byte-identical across runs; engine's TestMultiChannelGoldenDigests
+// pins the multichannel self-check's series byte for byte.
 //
 // Hooks in producers live only at batched range boundaries
-// (imc LLCReadRange/LLCWriteRange, the core.System Range entry
-// points, engine.Sharded replay chunks) behind a nil-sink check, so
-// the disabled cost of the whole subsystem is one branch per range.
+// (imc LLCReadRange/LLCWriteRange and the core.System Range entry
+// points) behind a nil-sink check, so the disabled cost of the whole
+// subsystem is one branch per range.
 package telemetry
 
 // Sample is one cumulative observation of a producer's counters. All
@@ -65,17 +63,17 @@ type Sample struct {
 	DDO          uint64 `json:"ddo"`
 
 	// ChannelReads/ChannelWrites are per-DRAM-channel CAS counters,
-	// when the producer exposes them (nil otherwise). The sharded
-	// engine concatenates its shards' channels in shard order, which
-	// makes the slices byte-identical to a serial controller's.
+	// in channel order, when the producer exposes them (nil
+	// otherwise).
 	ChannelReads  []uint64 `json:"channel_reads,omitempty"`
 	ChannelWrites []uint64 `json:"channel_writes,omitempty"`
 
 	// MediaReads/MediaWrites are NVRAM media-block counters, filled
 	// by media-granularity sources (nvram.Module). They are kept out
 	// of controller samples because media merging depends on how the
-	// address stream is partitioned over combining buffers, which is
-	// exactly what serial and sharded executions do differently.
+	// address stream is partitioned over combining buffers: a serial
+	// controller and a line-interleaved channel split of the same
+	// stream merge differently.
 	MediaReads  uint64 `json:"media_reads,omitempty"`
 	MediaWrites uint64 `json:"media_writes,omitempty"`
 }
@@ -88,10 +86,10 @@ type Source interface {
 }
 
 // Sink consumes cumulative samples. Record must be cheap; sinks that
-// do I/O should buffer. A Sink used from a parallel producer
-// (engine.Sharded replay) is only ever called between barriers, so it
-// needs no internal locking for that path — Prom locks anyway because
-// HTTP scrapes are concurrent by nature.
+// do I/O should buffer. Every producer records from its own goroutine;
+// a Sink shared by concurrent producers (Prom across parallel suite
+// jobs) must lock, as Prom does — HTTP scrapes are concurrent by
+// nature anyway.
 type Sink interface {
 	Record(Sample)
 }

@@ -5,6 +5,7 @@
 // Usage:
 //
 //	repro [-out results] [-scale 1024] [-quick] [-parallel N] [-channels N]
+//	      [-experiment all|name,name,...] [-job spec.json]
 //	      [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]
 //
 // -quick shrinks footprints (scale 8192, smaller graphs) for a fast
@@ -14,7 +15,19 @@
 // every worker count because each experiment builds its own system and
 // outcomes are merged by job order, not completion order. -channels
 // sets the IMC channel count of the multichannel self-check (default
-// 6, the Cascade Lake socket).
+// 6, the Cascade Lake socket); a count that does not split the cache
+// into whole sets per channel fails before any experiment runs.
+//
+// -experiment selects suite jobs by name, comma-separated, from the
+// list EXPERIMENTS.md documents (fig2a_nvram_read_bw, fig5_densenet,
+// graph_study, claims_check, ...). A selection writes only those jobs'
+// artifacts, in suite order, and skips the throughput measurement; a
+// selected claims_check computes the facts of unselected producers
+// itself. The default, all, runs the whole suite. An unknown name
+// fails before any job runs.
+//
+// -job runs one declared jobspec file instead of the suite (see
+// internal/jobspec); it cannot be combined with -experiment.
 //
 // -metrics-addr serves the run live in Prometheus text exposition
 // format at http://host:port/metrics: job-completion progress gauges,
@@ -38,6 +51,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"twolm/internal/engine"
@@ -47,16 +62,45 @@ import (
 	"twolm/internal/telemetry"
 )
 
-func main() {
-	rc := runcfg.Defaults()
-	rc.Register(flag.CommandLine)
-	rc.RegisterJob(flag.CommandLine)
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+// allExperiments is the -experiment value that runs the whole suite.
+const allExperiments = "all"
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+// options is the parsed command line: the shared runcfg block plus the
+// repro-only flags.
+type options struct {
+	rc         runcfg.Common
+	experiment string
+	cpuprofile string
+	memprofile string
+}
+
+// parseFlags parses args into options without touching global flag
+// state, so tests drive the same surface main does.
+func parseFlags(args []string) (*options, error) {
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	o := &options{rc: runcfg.Defaults()}
+	o.rc.Register(fs)
+	o.rc.RegisterJob(fs)
+	fs.StringVar(&o.experiment, "experiment", allExperiments,
+		"comma-separated suite job names to run (see EXPERIMENTS.md); all runs the whole suite")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(os.Args[1:])
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	} else if err != nil {
+		os.Exit(2)
+	}
+
+	if o.cpuprofile != "" {
+		f, err := os.Create(o.cpuprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
@@ -69,13 +113,13 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(rc); err != nil {
+	if err := run(o.rc, o.experiment); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
 
-	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
+	if o.memprofile != "" {
+		f, err := os.Create(o.memprofile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "repro:", err)
 			os.Exit(1)
@@ -122,22 +166,31 @@ func writeArtifact(dir string, a engine.Artifact) error {
 	return nil
 }
 
-// run executes the suite on the worker pool and writes artifacts in
-// job order, so the report reads identically at any worker count.
-// With -job it instead executes the one declared jobspec through the
-// same shared path cmd/nvsweep and cmd/simd use, writing the
-// byte-identical job_results artifacts.
-func run(rc runcfg.Common) error {
+// run executes the suite jobs the experiment selection names on the
+// worker pool and writes artifacts in job order, so the report reads
+// identically at any worker count; only the whole suite also measures
+// simulator throughput. With -job it instead executes the one declared
+// jobspec through the same shared path cmd/nvsweep and cmd/simd use,
+// writing the byte-identical job_results artifacts.
+func run(rc runcfg.Common, experiment string) error {
 	// Reject bad input up front: the pool reports job errors only after
 	// the whole suite drains, which is the wrong place to learn about a
 	// typo in a flag.
 	if err := rc.Validate(); err != nil {
 		return err
 	}
+	if rc.Job != "" && experiment != allExperiments {
+		return fmt.Errorf("-experiment %s cannot be combined with -job", experiment)
+	}
 	if js, err := rc.LoadJob(); err != nil {
 		return err
 	} else if js != nil {
 		return runJob(rc, js)
+	}
+	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
+	cfg.Multi.Channels = rc.Channels
+	if err := cfg.Multi.Validate(); err != nil {
+		return fmt.Errorf("-channels %d: %w", rc.Channels, err)
 	}
 	prom, err := rc.Metrics()
 	if err != nil {
@@ -145,21 +198,20 @@ func run(rc runcfg.Common) error {
 	}
 	if prom != nil {
 		fmt.Printf("serving metrics at http://%s/metrics\n", rc.BoundAddr)
+		// The multichannel self-check publishes each scenario's samples
+		// under its scenario name; Prom locks internally, so it is safe
+		// to share across parallel jobs.
+		cfg.Multi.Telemetry = prom
+	}
+	jobs, err := selectJobs(engine.Suite(cfg), experiment)
+	if err != nil {
+		return err
 	}
 	if err := os.MkdirAll(rc.Out, 0o755); err != nil {
 		return err
 	}
 	start := time.Now()
 
-	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
-	cfg.Multi.Channels = rc.Channels
-	if prom != nil {
-		// The multichannel self-check publishes each scenario's samples
-		// under its scenario name; Prom locks internally, so it is safe
-		// to share across parallel jobs.
-		cfg.Multi.Telemetry = prom
-	}
-	jobs := engine.Suite(cfg)
 	if rc.Parallel > 1 {
 		fmt.Printf("running %d experiments on %d workers\n", len(jobs), rc.Parallel)
 	}
@@ -183,12 +235,41 @@ func run(rc runcfg.Common) error {
 		}
 	}
 
-	if err := writeThroughput(rc.Out, prom); err != nil {
-		return fmt.Errorf("throughput baseline: %w", err)
+	if experiment == allExperiments {
+		if err := writeThroughput(rc.Out, prom); err != nil {
+			return fmt.Errorf("throughput baseline: %w", err)
+		}
 	}
 
 	fmt.Printf("all artifacts written to %s in %s\n", rc.Out, time.Since(start).Round(time.Millisecond))
 	return nil
+}
+
+// selectJobs returns the suite jobs named in the comma-separated
+// experiment list, in suite order; allExperiments keeps the whole
+// suite. A name that is no job is an error listing the valid names.
+func selectJobs(suite []engine.Job, experiment string) ([]engine.Job, error) {
+	if experiment == allExperiments {
+		return suite, nil
+	}
+	names := make([]string, len(suite))
+	for i, j := range suite {
+		names[i] = j.Name
+	}
+	want := strings.Split(experiment, ",")
+	for _, name := range want {
+		if !slices.Contains(names, name) {
+			return nil, fmt.Errorf("-experiment: unknown name %q; valid names: %s, or %s",
+				name, strings.Join(names, ", "), allExperiments)
+		}
+	}
+	var jobs []engine.Job
+	for _, j := range suite {
+		if slices.Contains(want, j.Name) {
+			jobs = append(jobs, j)
+		}
+	}
+	return jobs, nil
 }
 
 // runJob executes one declared jobspec end to end through the shared

@@ -17,7 +17,7 @@
 //   - internal/experiments — every paper table and figure as a
 //     function.
 //
-// The executables cmd/nvbench, cmd/cnnsim, cmd/graphsim and cmd/repro
-// regenerate the paper's evaluation; see README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// The executable cmd/repro regenerates the paper's evaluation, whole
+// or as a -experiment selection of its jobs; see README.md, DESIGN.md
+// and EXPERIMENTS.md.
 package twolm

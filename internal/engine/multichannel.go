@@ -117,17 +117,30 @@ func mcScenarios() []mcScenario {
 	}
 }
 
+// Validate reports whether the experiment can run: the platform at
+// Scale must be valid and Channels must split its DRAM cache into whole
+// sets per channel and its NVRAM into whole lines. Zero fields take
+// their defaults, as in MultiChannel. Front ends call it before any
+// job starts, so a bad channel count fails at once.
+func (c MultiChannelConfig) Validate() error {
+	c = c.withDefaults()
+	plat := platform.CascadeLake(1, c.Scale, 24)
+	if err := plat.Validate(); err != nil {
+		return err
+	}
+	return checkSplit(c.Channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy())
+}
+
 // MultiChannel runs the experiment and returns the result table. It
-// errors if the channel count does not split the platform's capacities
-// into whole sets and lines, and if any scenario's merged channel
+// errors if cfg fails Validate, and if any scenario's merged channel
 // counters diverge from the serial run — that equality is a
 // correctness property, not a statistic.
 func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
-	cfg = cfg.withDefaults()
-	plat := platform.CascadeLake(1, cfg.Scale, 24)
-	if err := plat.Validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
+	plat := platform.CascadeLake(1, cfg.Scale, 24)
 
 	table := results.NewTable(
 		fmt.Sprintf("Multi-channel 2LM amplification (%d line-interleaved channels)", cfg.Channels),
@@ -192,25 +205,38 @@ type channelSplit struct {
 	n     fastdiv.Divisor
 }
 
-// newChannelSplit builds the split. Each channel's DRAM slice must hold
-// a whole number of sets and its NVRAM slice a whole number of lines,
-// which is what makes the split counter-identical to a serial run.
-func newChannelSplit(channels int, dramBytes, nvramBytes uint64, policy imc.Policy) (*channelSplit, error) {
+// checkSplit reports whether channels splits the capacities so that
+// each channel's DRAM slice holds a whole number of policy-way sets and
+// its NVRAM slice a whole number of lines, which is what makes the
+// split counter-identical to a serial run.
+func checkSplit(channels int, dramBytes, nvramBytes uint64, policy imc.Policy) error {
 	if channels < 1 {
-		return nil, fmt.Errorf("engine: channel count %d must be positive", channels)
+		return fmt.Errorf("engine: channel count %d must be positive", channels)
 	}
 	if policy.Ways < 1 {
-		return nil, fmt.Errorf("engine: policy ways %d must be >= 1", policy.Ways)
+		return fmt.Errorf("engine: policy ways %d must be >= 1", policy.Ways)
 	}
 	n := uint64(channels)
-	if dramBytes == 0 || dramBytes%(n*uint64(policy.Ways)*mem.Line) != 0 {
-		return nil, fmt.Errorf("engine: DRAM capacity %d must split into %d channels of whole %d-way sets",
+	// More channels than DRAM lines can hold no whole set, and would
+	// overflow the split unit below. The divisibility checks go through
+	// fastdiv because hotdiv keeps this package free of hardware divides.
+	if dramBytes == 0 || n > dramBytes>>mem.LineShift || fastdiv.New(n*uint64(policy.Ways)*mem.Line).Mod(dramBytes) != 0 {
+		return fmt.Errorf("engine: DRAM capacity %d must split into %d channels of whole %d-way sets",
 			dramBytes, channels, policy.Ways)
 	}
-	if nvramBytes == 0 || nvramBytes%(n*mem.Line) != 0 {
-		return nil, fmt.Errorf("engine: NVRAM capacity %d must split into %d channels of whole lines",
+	if nvramBytes == 0 || fastdiv.New(n*mem.Line).Mod(nvramBytes) != 0 {
+		return fmt.Errorf("engine: NVRAM capacity %d must split into %d channels of whole lines",
 			nvramBytes, channels)
 	}
+	return nil
+}
+
+// newChannelSplit builds the split after checkSplit accepts it.
+func newChannelSplit(channels int, dramBytes, nvramBytes uint64, policy imc.Policy) (*channelSplit, error) {
+	if err := checkSplit(channels, dramBytes, nvramBytes, policy); err != nil {
+		return nil, err
+	}
+	n := uint64(channels)
 	s := &channelSplit{ctrls: make([]*imc.Controller, channels), n: fastdiv.New(n)}
 	for i := range s.ctrls {
 		ctrl, err := newController(1, dramBytes/n, nvramBytes/n, imc.WithPolicy(policy))

@@ -103,14 +103,23 @@ func TestChannelSplitMatchesSerial(t *testing.T) {
 
 // TestMultiChannelValidation: a channel count that does not split the
 // capacities into whole sets and lines is an error naming the count,
-// never a panic — and so is every malformed split geometry.
+// from Validate and from MultiChannel alike, never a panic — and so is
+// every malformed split geometry.
 func TestMultiChannelValidation(t *testing.T) {
-	for _, channels := range []int{-1, 5, 7} {
-		_, err := MultiChannel(MultiChannelConfig{Channels: channels})
-		if err == nil {
-			t.Errorf("channels=%d: accepted", channels)
-		} else if !strings.Contains(err.Error(), fmt.Sprint(channels)) {
-			t.Errorf("channels=%d: error does not name the count: %v", channels, err)
+	for _, channels := range []int{-1, 5, 7, 1 << 62} {
+		cfg := MultiChannelConfig{Channels: channels}
+		_, runErr := MultiChannel(cfg)
+		for name, err := range map[string]error{"Validate": cfg.Validate(), "MultiChannel": runErr} {
+			if err == nil {
+				t.Errorf("%s channels=%d: accepted", name, channels)
+			} else if !strings.Contains(err.Error(), fmt.Sprint(channels)) {
+				t.Errorf("%s channels=%d: error does not name the count: %v", name, channels, err)
+			}
+		}
+	}
+	for _, channels := range []int{0, 1, 2, 3, 6, 12} {
+		if err := (MultiChannelConfig{Channels: channels}).Validate(); err != nil {
+			t.Errorf("channels=%d rejected: %v", channels, err)
 		}
 	}
 

@@ -84,6 +84,28 @@ func TestClaimsCheckSameBytesEveryPath(t *testing.T) {
 	}
 }
 
+// TestDefaultSuiteConfigQuick pins the footprints of both suite
+// geometries: -scale sets the microbenchmark and CNN footprints, and
+// quick overrides every family with the sanity-pass shape whatever the
+// scale.
+func TestDefaultSuiteConfigQuick(t *testing.T) {
+	full := DefaultSuiteConfig(2048, false)
+	if full.Micro.Scale != 2048 || full.CNN.Scale != 2048 ||
+		full.Graph != experiments.DefaultGraphConfig() || full.Embed.Scale != experiments.DefaultEmbedConfig().Scale {
+		t.Errorf("DefaultSuiteConfig(2048, false) = %+v", full)
+	}
+	q := DefaultSuiteConfig(64, true)
+	g := q.Graph
+	if q.Micro.Scale != 8192 || q.CNN.Scale != 8192 ||
+		g.Scale != 16384 || g.SmallScale != 14 || g.LargeScale != 19 || g.PRRounds != 3 ||
+		q.Embed.Scale != 16384 || q.Embed.Model.RowsPerTable != 1<<15 {
+		t.Errorf("DefaultSuiteConfig(64, true) = %+v, want the sanity-pass shape", q)
+	}
+	if q.Multi != DefaultMultiChannelConfig() {
+		t.Errorf("quick multichannel config = %+v, want the default", q.Multi)
+	}
+}
+
 // TestSuiteBuildAllocs pins the cost of building the job list, which
 // perfbench times as the reproduction's set-up: the claim cells live in
 // each run's scope, not in the list.

@@ -1,8 +1,8 @@
 // Package experiments encodes every table and figure of the paper's
 // evaluation as a reusable function returning rendered results. The
-// command-line tools (cmd/nvbench, cmd/cnnsim, cmd/graphsim, cmd/repro)
-// and the benchmark harness (bench_test.go) all call into this package
-// so that a given experiment is defined exactly once.
+// reproduction suite (internal/engine, run by cmd/repro) and the
+// benchmark harness (bench_test.go) both call into this package so
+// that a given experiment is defined exactly once.
 //
 // This file covers the microbenchmark study: Figure 2 (1LM NVRAM
 // bandwidth), Table I (2LM per-access transaction counts) and Figure 4

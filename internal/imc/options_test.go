@@ -78,6 +78,12 @@ func TestWithTelemetryHook(t *testing.T) {
 	if rec.Len() != 3 {
 		t.Error("idle flush recorded a duplicate")
 	}
+	// FlushAll's writebacks are no demand lines: the demand clock stays.
+	c.FlushAll()
+	c.FlushTelemetry()
+	if rec.Len() != 3 {
+		t.Errorf("FlushAll writebacks advanced the demand clock: %d samples, last at %d", rec.Len(), rec.Last().Demand)
+	}
 }
 
 // TestSnapshotMatchesCounters: the telemetry sample mirrors the

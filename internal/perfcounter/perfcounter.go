@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"twolm/internal/imc"
-	"twolm/internal/telemetry"
 )
 
 // Sample is one observation: the simulated time at which the counters
@@ -119,37 +118,6 @@ func (ts *Series) Rebin(width float64) *Series {
 		out.Append(acc)
 	}
 	return out
-}
-
-// Emit replays the series into a telemetry sink as cumulative
-// samples, bridging the legacy interval-delta representation onto the
-// unified surface: deltas are re-accumulated in order and each sample
-// carries the interval-end simulated time and label. It lets existing
-// Sync-driven series feed the same sinks (trace artifacts, Prometheus)
-// as the live range-boundary hooks.
-func (ts *Series) Emit(sink telemetry.Sink) {
-	if sink == nil {
-		return
-	}
-	var cum imc.Counters
-	for _, s := range ts.samples {
-		cum = cum.Add(s.Delta)
-		sink.Record(telemetry.Sample{
-			Demand:       cum.Demand(),
-			Clock:        s.Time,
-			Label:        s.Label,
-			LLCRead:      cum.LLCRead,
-			LLCWrite:     cum.LLCWrite,
-			DRAMRead:     cum.DRAMRead,
-			DRAMWrite:    cum.DRAMWrite,
-			NVRAMRead:    cum.NVRAMRead,
-			NVRAMWrite:   cum.NVRAMWrite,
-			TagHit:       cum.TagHit,
-			TagMissClean: cum.TagMissClean,
-			TagMissDirty: cum.TagMissDirty,
-			DDO:          cum.DDO,
-		})
-	}
 }
 
 // WriteCSV emits the series with one row per sample: time, duration,

@@ -12,8 +12,7 @@ const DefaultJobCacheKiB uint64 = 4096
 
 // RegisterJob installs the -job flag: a path to a versioned jobspec
 // JSON file that bypasses the loose flag surface entirely. Only the
-// job-running binaries (repro, nvsweep) register it; the bespoke
-// binaries keep their own surfaces.
+// job-running binaries (repro, nvsweep) register it.
 func (c *Common) RegisterJob(fs *flag.FlagSet) {
 	fs.StringVar(&c.Job, "job", c.Job,
 		"path to a jobspec JSON file; bypasses the workload flags so one spec file reproduces the run across repro, nvsweep and simd")
@@ -38,7 +37,7 @@ func (c *Common) LoadJob() (*jobspec.Spec, error) {
 // the flags-equivalent sweep.
 //
 // The -quick flag maps to the historical footprint override (scale
-// 8192) exactly as the suite binaries apply it.
+// 8192) exactly as engine.DefaultSuiteConfig applies it.
 func (c *Common) JobSpec() jobspec.Spec {
 	scale := c.Scale
 	if c.Quick {

@@ -1,9 +1,8 @@
 // Package runcfg is the shared command-line surface of the repro
-// binaries. Every command (repro, cnnsim, graphsim, nvbench, nvsweep,
-// and — partially — nvtrace) historically grew its own copy of the same
-// flag block; this package owns it once, so all binaries accept the
-// same -out/-scale/-quick/-parallel/-channels/-metrics-addr set with
-// the same validation and the same live-metrics bootstrap.
+// binaries. The commands that run simulations (repro, nvsweep and
+// nvtrace) register the same -out/-scale/-quick/-parallel/-channels/
+// -metrics-addr set from here, with the same validation and the same
+// live-metrics bootstrap.
 //
 // The metrics bootstrap deliberately returns the concrete
 // *telemetry.Prom rather than a telemetry.Sink: when -metrics-addr is
@@ -71,13 +70,6 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Quick, "quick", c.Quick, "small footprints for a fast pass")
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
 	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels of the multichannel self-check")
-	c.RegisterMetrics(fs)
-}
-
-// RegisterMetrics installs only the -metrics-addr flag, for binaries
-// like nvtrace whose primary flag surface is bespoke but which still
-// expose the live endpoint.
-func (c *Common) RegisterMetrics(fs *flag.FlagSet) {
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr,
 		"serve Prometheus metrics at this address (e.g. 127.0.0.1:9464)")
 }

@@ -13,8 +13,9 @@ import (
 // error, never panics, and consumes at least one byte per event. The
 // events decoded before the end re-encode through Writer into a stream
 // that decodes to the same events and a clean io.EOF. The seed corpus
-// (testdata/fuzz/FuzzReader) holds a short valid trace and a truncated
-// copy.
+// (testdata/fuzz/FuzzReader) holds a short valid trace, a truncated
+// copy, and a sync record declaring a 1 MiB label that the stream ends
+// one byte into.
 func FuzzReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events, err := decodeAll(data)

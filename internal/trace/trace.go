@@ -15,6 +15,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -209,11 +210,14 @@ func (t *Reader) Next() (Event, error) {
 		if n > 1<<20 {
 			return Event{}, fmt.Errorf("%w: label length %d", ErrCorrupt, n)
 		}
-		label := make([]byte, n)
-		if _, err := io.ReadFull(t.r, label); err != nil {
+		// Copy rather than allocate the declared length up front, so a
+		// short stream declaring a long label costs only the bytes it
+		// actually holds.
+		var label bytes.Buffer
+		if _, err := io.CopyN(&label, t.r, int64(n)); err != nil {
 			return Event{}, fmt.Errorf("%w: truncated label", ErrCorrupt)
 		}
-		return Event{IsSync: true, Label: string(label), Compute: compute}, nil
+		return Event{IsSync: true, Label: label.String(), Compute: compute}, nil
 	case opLoad, opStore, opStoreNT, opRMW:
 		d, err := binary.ReadUvarint(t.r)
 		if err != nil {

@@ -2,9 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -145,6 +148,26 @@ func TestCorruptStreams(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestShortLabelAllocatesByPresentBytes: a sync record declaring a
+// 1 MiB label over a stream that ends a byte later is a truncated
+// label, and decoding it allocates far less than the declared length.
+func TestShortLabelAllocatesByPresentBytes(t *testing.T) {
+	const declared = 1 << 20
+	raw := append([]byte{'2', 'L', 'M', '1', opSync, 0, 0, 0, 0, 0, 0, 0, 0}, binary.AppendUvarint(nil, declared)...)
+	raw = append(raw, 'x')
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(raw)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated label") {
+		t.Fatalf("Next = %v, want ErrCorrupt truncated label", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > declared/16 {
+		t.Errorf("decoding %d bytes allocated %d bytes, want at most %d", len(raw), got, declared/16)
 	}
 }
 

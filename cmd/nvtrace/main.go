@@ -16,15 +16,15 @@
 //	nvtrace -replay trace.bin -no-ddo         # DDO ablation
 //	nvtrace -replay trace.bin -ways 4         # associativity ablation
 //
-// nvtrace accepts the full shared flag surface of the suite binaries
+// nvtrace shares repro's -out/-scale/-quick/-metrics-addr flags
 // (internal/runcfg): -scale and -quick size the modeled footprint,
 // -out writes the replay's counter summary and sampled telemetry
 // series as artifacts into the given directory, and -metrics-addr
 // serves live counters in Prometheus exposition format at /metrics,
-// sampled every 64Ki demand lines. -parallel and -channels are
-// accepted for interface uniformity; trace replay is inherently
-// serial (operation order is the whole point), so they only pass
-// validation.
+// sampled every 64Ki demand lines. It has no -parallel or
+// -channels: trace replay is inherently serial (operation order is the
+// whole point), and the modeled Cascade Lake platform fixes the
+// channel count.
 package main
 
 import (

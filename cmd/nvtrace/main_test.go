@@ -8,14 +8,13 @@ import (
 )
 
 // TestFlagSurface pins the shared runcfg flag set on nvtrace: every
-// suite-wide flag parses into the Common block, the bespoke trace
-// flags still work beside them, and -quick overrides -scale.
+// shared flag nvtrace acts on parses into the Common block, the
+// bespoke trace flags still work beside them, -quick overrides
+// -scale, and the suite-only flags are unknown here.
 func TestFlagSurface(t *testing.T) {
 	o, err := parseFlags("nvtrace-test", []string{
 		"-out", "artifacts",
 		"-scale", "2048",
-		"-parallel", "3",
-		"-channels", "4",
 		"-metrics-addr", "127.0.0.1:0",
 		"-replay", "trace.bin",
 		"-mode", "1lm",
@@ -31,8 +30,7 @@ func TestFlagSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.rc.Out != "artifacts" || o.rc.Scale != 2048 || o.rc.Parallel != 3 ||
-		o.rc.Channels != 4 || o.rc.MetricsAddr != "127.0.0.1:0" {
+	if o.rc.Out != "artifacts" || o.rc.Scale != 2048 || o.rc.MetricsAddr != "127.0.0.1:0" {
 		t.Errorf("shared flags misparsed: %+v", o.rc)
 	}
 	if o.replay != "trace.bin" || o.mode != "1lm" || o.threads != 8 ||
@@ -53,10 +51,18 @@ func TestFlagSurface(t *testing.T) {
 	if quick.scale() != quickScale {
 		t.Errorf("-quick scale() = %d, want %d", quick.scale(), quickScale)
 	}
+
+	// Replay is serial, so a worker count would do nothing; nvtrace
+	// does not accept one.
+	if _, err := parseFlags("nvtrace-test", []string{"-parallel", "2"}); err == nil ||
+		!strings.Contains(err.Error(), "not defined: -parallel") {
+		t.Errorf("-parallel: parse err = %v, want unknown flag", err)
+	}
 }
 
 // TestFlagValidation pins that malformed shared flags are rejected by
-// the same runcfg validation every binary uses, and that the
+// the same runcfg validation every binary uses, that the suite-only
+// -parallel and -channels are rejected as unknown flags, and that the
 // record/replay mode selection is enforced.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
@@ -65,17 +71,16 @@ func TestFlagValidation(t *testing.T) {
 		want string
 	}{
 		{"bad-scale", []string{"-replay", "x", "-scale", "1000"}, "power of two"},
-		{"bad-parallel", []string{"-replay", "x", "-parallel", "0"}, "-parallel"},
-		{"bad-channels", []string{"-replay", "x", "-channels", "-2"}, "-channels"},
+		{"bad-parallel", []string{"-replay", "x", "-parallel", "0"}, "not defined: -parallel"},
+		{"bad-channels", []string{"-replay", "x", "-channels", "-2"}, "not defined: -channels"},
 		{"both-modes", []string{"-record", "a", "-replay", "b"}, "one of"},
 		{"no-mode", nil, "required"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			o, err := parseFlags("nvtrace-test", tc.args)
-			if err != nil {
-				t.Fatal(err)
+			if err == nil {
+				err = o.run()
 			}
-			err = o.run()
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("run(%v) = %v, want error containing %q", tc.args, err, tc.want)
 			}

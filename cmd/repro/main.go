@@ -27,7 +27,12 @@
 // fails before any job runs.
 //
 // -job runs one declared jobspec file instead of the suite (see
-// internal/jobspec); it cannot be combined with -experiment.
+// internal/jobspec): a single point, or a design-space grid such as
+// examples/sweep_default.json (288 points) and examples/sweep_quick.json
+// (48 points). It writes job_results.{csv,json} under -out, using
+// -parallel workers. The file defines the whole run, so -job rejects
+// an explicitly set -scale, -quick, -channels, -metrics-addr or
+// -experiment rather than ignore it.
 //
 // -metrics-addr serves the run live in Prometheus text exposition
 // format at http://host:port/metrics: job-completion progress gauges,
@@ -65,6 +70,10 @@ import (
 // allExperiments is the -experiment value that runs the whole suite.
 const allExperiments = "all"
 
+// jobBypassed names the flags a -job run has no use for: the jobspec
+// file sets the geometry, footprint and selection they would set.
+var jobBypassed = []string{"scale", "quick", "channels", "metrics-addr", "experiment"}
+
 // options is the parsed command line: the shared runcfg block plus the
 // repro-only flags.
 type options struct {
@@ -72,6 +81,8 @@ type options struct {
 	experiment string
 	cpuprofile string
 	memprofile string
+	// bypassed lists the jobBypassed flags given explicitly, as -name.
+	bypassed []string
 }
 
 // parseFlags parses args into options without touching global flag
@@ -80,6 +91,7 @@ func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
 	o := &options{rc: runcfg.Defaults()}
 	o.rc.Register(fs)
+	o.rc.RegisterSuite(fs)
 	o.rc.RegisterJob(fs)
 	fs.StringVar(&o.experiment, "experiment", allExperiments,
 		"comma-separated suite job names to run (see EXPERIMENTS.md); all runs the whole suite")
@@ -88,6 +100,11 @@ func parseFlags(args []string) (*options, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(jobBypassed, f.Name) {
+			o.bypassed = append(o.bypassed, "-"+f.Name)
+		}
+	})
 	return o, nil
 }
 
@@ -113,7 +130,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	if err := run(o.rc, o.experiment); err != nil {
+	if err := o.run(); err != nil {
 		fmt.Fprintln(os.Stderr, "repro:", err)
 		os.Exit(1)
 	}
@@ -170,17 +187,19 @@ func writeArtifact(dir string, a engine.Artifact) error {
 // worker pool and writes artifacts in job order, so the report reads
 // identically at any worker count; only the whole suite also measures
 // simulator throughput. With -job it instead executes the one declared
-// jobspec through the same shared path cmd/nvsweep and cmd/simd use,
-// writing the byte-identical job_results artifacts.
-func run(rc runcfg.Common, experiment string) error {
+// jobspec through the same shared path cmd/simd uses, writing the
+// byte-identical job_results artifacts.
+func (o *options) run() error {
+	rc, experiment := o.rc, o.experiment
 	// Reject bad input up front: the pool reports job errors only after
 	// the whole suite drains, which is the wrong place to learn about a
 	// typo in a flag.
+	if rc.Job != "" && len(o.bypassed) > 0 {
+		return fmt.Errorf("%s cannot be combined with -job: the jobspec file defines the run",
+			strings.Join(o.bypassed, ", "))
+	}
 	if err := rc.Validate(); err != nil {
 		return err
-	}
-	if rc.Job != "" && experiment != allExperiments {
-		return fmt.Errorf("-experiment %s cannot be combined with -job", experiment)
 	}
 	if js, err := rc.LoadJob(); err != nil {
 		return err
@@ -273,10 +292,9 @@ func selectJobs(suite []engine.Job, experiment string) ([]engine.Job, error) {
 }
 
 // runJob executes one declared jobspec end to end through the shared
-// sweep.RunJob path — the same execution every other front end uses,
-// so the artifacts under -out are byte-identical to cmd/nvsweep -job
-// and a simd POST of the same file. A timeout_ms in the spec is
-// honored here too.
+// sweep.RunJob path — the same execution cmd/simd uses, so the
+// artifacts under -out are byte-identical to a simd POST of the same
+// file. A timeout_ms in the spec is honored here too.
 func runJob(rc runcfg.Common, js *jobspec.Spec) error {
 	ctx := context.Background()
 	if d := js.Timeout(); d > 0 {

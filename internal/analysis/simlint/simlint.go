@@ -95,7 +95,7 @@ var deterministicPackages = map[string]bool{
 	// (benchmarks, cmd/benchcheck).
 	"twolm/internal/sweep": true,
 	// The jobspec package is the wire format every front end (repro,
-	// nvsweep, simd) lowers through; a nondeterministic source there
+	// simd) lowers through; a nondeterministic source there
 	// would silently fan out to byte-different artifacts everywhere,
 	// so it sits inside the determinism fence too.
 	"twolm/internal/jobspec": true,

@@ -2,10 +2,11 @@
 // the simulator: one JSON shape that names a controller geometry, a
 // policy ablation, a workload, and the telemetry artifacts a run must
 // produce. It is the API-redesign core behind simulation-as-a-service:
-// the same spec file drives `cmd/repro -job`, `cmd/nvsweep -job`, and
-// a `POST /v1/jobs` to `cmd/simd`, and all three produce byte-identical
-// result artifacts because they all execute through the same expansion
-// of the same spec.
+// the same spec file drives `cmd/repro -job` and a `POST /v1/jobs` to
+// `cmd/simd`, and both produce byte-identical result artifacts because
+// they execute through the same expansion of the same spec. The
+// design-space grids under examples/ (sweep_default.json,
+// sweep_quick.json) are spec files too: Decode is the one grid reader.
 //
 // The spec comes in two forms, discriminated by which section is set:
 //
@@ -70,7 +71,7 @@ const (
 )
 
 // Result artifact names — the on-disk (and over-the-wire) contract
-// shared by cmd/repro -job, cmd/nvsweep -job, and cmd/simd results.
+// shared by cmd/repro -job and cmd/simd results.
 const (
 	ResultCSVName  = "job_results.csv"
 	ResultJSONName = "job_results.json"

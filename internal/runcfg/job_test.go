@@ -1,84 +1,10 @@
 package runcfg
 
 import (
-	"bytes"
-	"context"
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"twolm/internal/jobspec"
-	"twolm/internal/mem"
-	"twolm/internal/sweep"
 )
-
-// TestJobSpecRoundTrip is the adapter contract: a run of the
-// flag-constructed JobSpec is byte-identical to the flags-equivalent
-// sweep built by hand from the same flag values — flags → spec →
-// run produces the counters the flags always meant.
-func TestJobSpecRoundTrip(t *testing.T) {
-	c := Defaults()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	c.Register(fs)
-	if err := fs.Parse([]string{"-scale", "512", "-channels", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	js := c.JobSpec()
-	if err := js.Validate(); err != nil {
-		t.Fatalf("flag-derived spec invalid: %v", err)
-	}
-	got, err := sweep.RunJob(context.Background(), js, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The flags-equivalent sweep, written out longhand from the same
-	// flag values.
-	lines := DefaultJobCacheKiB * 1024 / mem.Line * jobspec.DefaultRatio
-	want := sweep.Spec{
-		Name: "flags",
-		Axes: jobspec.Axes{
-			CacheKiB:    []uint64{DefaultJobCacheKiB},
-			Channels:    []int{2},
-			Ratios:      []uint64{jobspec.DefaultRatio},
-			Patterns:    []string{jobspec.PatternSequential},
-			SampleLines: lines / 512,
-		},
-	}
-	r, err := sweep.New(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := r.Run(context.Background(), 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var csv bytes.Buffer
-	if err := sweep.WriteCSV(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.CSV, csv.Bytes()) {
-		t.Errorf("flag-spec run differs from flags-equivalent sweep:\nspec: %q\nflag: %q", got.CSV, csv.Bytes())
-	}
-}
-
-// TestJobSpecQuickOverridesScale pins the historical -quick semantics.
-func TestJobSpecQuickOverridesScale(t *testing.T) {
-	c := Defaults()
-	c.Quick = true
-	c.Scale = 64
-	if got := c.JobSpec().Workload.Scale; got != 8192 {
-		t.Errorf("quick scale = %d, want 8192", got)
-	}
-	c.Quick = false
-	if got := c.JobSpec().Workload.Scale; got != 64 {
-		t.Errorf("scale = %d, want 64", got)
-	}
-}
 
 // TestLoadJob: unset flag loads nothing; a valid file loads; an
 // invalid file fails with the file's path in the error.

@@ -1,8 +1,8 @@
 // Package runcfg is the shared command-line surface of the repro
-// binaries. The commands that run simulations (repro, nvsweep and
-// nvtrace) register the same -out/-scale/-quick/-parallel/-channels/
-// -metrics-addr set from here, with the same validation and the same
-// live-metrics bootstrap.
+// binaries. The commands that run simulations (repro and nvtrace)
+// register the same -out/-scale/-quick/-metrics-addr set from here,
+// with the same validation and the same live-metrics bootstrap; repro
+// alone adds the suite's -parallel/-channels and the -job file.
 //
 // The metrics bootstrap deliberately returns the concrete
 // *telemetry.Prom rather than a telemetry.Sink: when -metrics-addr is
@@ -68,10 +68,17 @@ func (c *Common) Register(fs *flag.FlagSet) {
 	fs.StringVar(&c.Out, "out", c.Out, "output directory for artifacts")
 	fs.Uint64Var(&c.Scale, "scale", c.Scale, "footprint scale divisor (power of two)")
 	fs.BoolVar(&c.Quick, "quick", c.Quick, "small footprints for a fast pass")
-	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
-	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels of the multichannel self-check")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr,
 		"serve Prometheus metrics at this address (e.g. 127.0.0.1:9464)")
+}
+
+// RegisterSuite installs -parallel and -channels, the flags of a
+// binary that runs jobs on the worker pool and the multichannel
+// self-check. A binary that registers only Register keeps the
+// Defaults values, which Validate accepts.
+func (c *Common) RegisterSuite(fs *flag.FlagSet) {
+	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
+	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels of the multichannel self-check")
 }
 
 // Validate rejects malformed values up front, before any experiment

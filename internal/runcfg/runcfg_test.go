@@ -12,6 +12,7 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 	c := Defaults()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
+	c.RegisterSuite(fs)
 	err := fs.Parse([]string{
 		"-out", "artifacts",
 		"-scale", "2048",

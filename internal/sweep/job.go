@@ -13,8 +13,8 @@ import (
 // Result is one executed jobspec: the lowered axes, the merged result
 // rows, and the serialized artifacts the spec's telemetry section
 // asked for. The artifact bytes are rendered here, in one place, so
-// every consumer — cmd/repro -job, cmd/nvsweep -job, a simd job
-// fetched over HTTP — returns byte-identical output for the same spec.
+// every consumer — cmd/repro -job, a simd job fetched over HTTP — returns
+// byte-identical output for the same spec.
 type Result struct {
 	// Spec is the normalized sweep form the job lowered to.
 	Spec Spec
@@ -38,7 +38,7 @@ type Result struct {
 
 // RunJob executes one validated jobspec end to end: lower to axes,
 // expand, run on the pooled arena, render the requested artifacts.
-// This is the single execution path behind all three front ends.
+// This is the single execution path behind both front ends.
 //
 // pool, when non-nil, replaces the runner's private arena — the simd
 // service passes its fleet-wide pool here so every admitted job

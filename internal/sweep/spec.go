@@ -52,9 +52,10 @@ const (
 // axes. Each axis field is one axis and the sweep is the cross
 // product; zero-value axes are filled by Normalized with
 // single-element defaults, so a minimal spec names only the axes it
-// varies. The embedded jobspec.Axes carries the JSON field set, so
-// the cmd/nvsweep -spec file format IS the `sweep` section of a
-// versioned jobspec document — one grid description, two containers.
+// varies. The embedded jobspec.Axes carries the JSON field set: a
+// Spec is the `sweep` section of a versioned jobspec document plus the
+// document's name, and a file reaches it only through the strict
+// jobspec.Decode and FromSpec.
 type Spec struct {
 	// Name labels the sweep in artifacts and progress gauges.
 	Name string `json:"name,omitempty"`
@@ -71,7 +72,7 @@ func (s Spec) Normalized() Spec {
 
 // FromSpec lowers a validated jobspec document into the sweep's axis
 // form — the one conversion every consumer (cmd/repro -job,
-// cmd/nvsweep -job, cmd/simd) shares, which is what makes their result
+// cmd/simd) shares, which is what makes their result
 // artifacts byte-identical for the same spec file. A grid spec maps
 // axis-for-axis; a single-point spec becomes a one-point grid, with
 // the workload's power-of-two Scale divisor lowered onto SampleLines
@@ -354,9 +355,11 @@ func resolveClass(classes map[classID]*Geometry, s Spec, kib uint64, ways int, p
 	return g, nil
 }
 
-// DefaultSpec is the full nvsweep grid: the paper's comparison axes
-// (size, associativity, all four policy ablations, DRAM:NVRAM ratio)
-// over both stream shapes. 288 points.
+// DefaultSpec is the full design-space grid: the paper's comparison
+// axes (size, associativity, all four policy ablations, DRAM:NVRAM
+// ratio) over both stream shapes. 288 points. examples/sweep_default.json
+// is the same grid as a jobspec file; TestExampleGrids keeps the two
+// equal.
 func DefaultSpec() Spec {
 	return Spec{
 		Name: "default",
@@ -367,22 +370,6 @@ func DefaultSpec() Spec {
 			Channels: []int{1, 6},
 			Ratios:   []uint64{2, 4, 8},
 			Patterns: []string{PatternSequential, PatternRandom},
-			Passes:   1,
-		},
-	}
-}
-
-// QuickSpec is the CI smoke grid: small caches, every pattern and
-// policy, two worker-visible geometry axes. 48 points, sub-second.
-func QuickSpec() Spec {
-	return Spec{
-		Name: "quick",
-		Axes: jobspec.Axes{
-			CacheKiB: []uint64{64, 128},
-			Ways:     []int{1, 4},
-			Policies: []string{PolicyHardware, PolicyNoWriteAllocate, PolicyNoReadAllocate, PolicyDDOOff},
-			Ratios:   []uint64{2},
-			Patterns: []string{PatternSequential, PatternRandom, PatternWrite},
 			Passes:   1,
 		},
 	}

@@ -10,7 +10,7 @@ import (
 
 	"twolm/internal/engine"
 	"twolm/internal/jobspec"
-	"twolm/internal/telemetry"
+	"twolm/internal/mem"
 )
 
 // testSpec is a small grid covering every pattern, all four policy
@@ -253,6 +253,49 @@ func TestRunJobPointMatchesGrid(t *testing.T) {
 	}
 }
 
+// TestRunJobScaleLowering pins FromSpec's single-point Scale lowering:
+// a workload scale divisor caps each pass at footprint/Scale demand
+// lines, so the spec runs exactly the longhand sweep with that
+// SampleLines cap.
+func TestRunJobScaleLowering(t *testing.T) {
+	const kib = 4096
+	point := jobspec.Spec{
+		Version:  jobspec.Version,
+		Name:     "scaled",
+		Geometry: &jobspec.Geometry{CacheKiB: kib, Channels: 2},
+		Workload: &jobspec.Workload{Scale: 512},
+	}
+	got, err := RunJob(context.Background(), point, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := New(Spec{
+		Name: "scaled",
+		Axes: jobspec.Axes{
+			CacheKiB:    []uint64{kib},
+			Channels:    []int{2},
+			Ratios:      []uint64{jobspec.DefaultRatio},
+			Patterns:    []string{PatternSequential},
+			SampleLines: kib * 1024 / mem.Line * jobspec.DefaultRatio / 512,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := r.Run(context.Background(), 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := WriteCSV(&want, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.CSV, want.Bytes()) {
+		t.Errorf("scaled point differs from the longhand sweep:\nspec:     %q\nlonghand: %q", got.CSV, want.Bytes())
+	}
+}
+
 // TestRunJobSharedArena: two jobs of the same geometry through one
 // shared Arena reuse the pooled rig (the fleet-wide reuse the simd
 // service depends on) and still produce identical artifacts.
@@ -383,41 +426,11 @@ func TestObserveSeesEveryJob(t *testing.T) {
 	}
 }
 
-// TestEmitSamples: one labeled cumulative sample per point, in point
-// order, with the row's demand-line clock.
-func TestEmitSamples(t *testing.T) {
-	r, err := New(testSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := r.Run(context.Background(), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec telemetry.Recorder
-	r.EmitSamples(&rec)
-	samples := rec.Samples()
-	if len(samples) != len(rows) {
-		t.Fatalf("%d samples, want %d", len(samples), len(rows))
-	}
-	for i, s := range samples {
-		if s.Demand != rows[i].Lines {
-			t.Errorf("sample %d demand %d, want %d", i, s.Demand, rows[i].Lines)
-		}
-		if s.Label == "" {
-			t.Errorf("sample %d has no point label", i)
-		}
-		if s.MediaWrites != rows[i].MediaWrites {
-			t.Errorf("sample %d media writes %d, want %d", i, s.MediaWrites, rows[i].MediaWrites)
-		}
-	}
-}
-
 // TestPointsMatchesExpand: jobspec's point count, which caps a grid
 // before anything is expanded, counts exactly the points Expand makes,
 // and Expand refuses a grid over the cap.
 func TestPointsMatchesExpand(t *testing.T) {
-	for _, s := range []Spec{DefaultSpec(), QuickSpec(), BenchmarkSpec(), testSpec()} {
+	for _, s := range []Spec{DefaultSpec(), BenchmarkSpec(), testSpec()} {
 		points, err := Expand(s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
@@ -426,7 +439,7 @@ func TestPointsMatchesExpand(t *testing.T) {
 			t.Errorf("%s: Points = %d, Expand made %d", s.Name, got, len(points))
 		}
 	}
-	over := QuickSpec()
+	over := testSpec()
 	over.Patterns = []string{PatternRandom}
 	over.Seeds = make([]uint32, jobspec.MaxPoints)
 	if _, err := Expand(over); err == nil || !strings.Contains(err.Error(), "points") {

@@ -127,34 +127,3 @@ func WriteJSON(w io.Writer, rows []Row) error {
 	}
 	return telemetry.EncodeJSON(w, out)
 }
-
-// EmitSamples streams one cumulative telemetry sample per row, in
-// point order, into sink — the sweep-level Source/Sink bridge. Each
-// sample's Demand clock is the row's own demand-line count and its
-// Label is the point's stable name, so a Recorder attached here
-// produces a deterministic per-point trace.
-func (r *Runner) EmitSamples(sink telemetry.Sink) {
-	if sink == nil {
-		return
-	}
-	for i := range r.rows {
-		row := &r.rows[i]
-		c := row.Counters
-		sink.Record(telemetry.Sample{
-			Demand:       row.Lines,
-			Label:        r.jobs[i].Name,
-			LLCRead:      c.LLCRead,
-			LLCWrite:     c.LLCWrite,
-			DRAMRead:     c.DRAMRead,
-			DRAMWrite:    c.DRAMWrite,
-			NVRAMRead:    c.NVRAMRead,
-			NVRAMWrite:   c.NVRAMWrite,
-			TagHit:       c.TagHit,
-			TagMissClean: c.TagMissClean,
-			TagMissDirty: c.TagMissDirty,
-			DDO:          c.DDO,
-			MediaReads:   row.MediaReads,
-			MediaWrites:  row.MediaWrites,
-		})
-	}
-}

@@ -6,8 +6,9 @@
 //
 // The library lives under internal/ and is organized as:
 //
-//   - internal/core — the system facade: 1LM/2LM modes, demand
-//     operations, counters and the elapsed-time model;
+//   - internal/core — the system facade: one LLC front end with the
+//     1LM or 2LM memory behind it, demand operations, counters and
+//     the elapsed-time model;
 //   - internal/imc, cache, dram, nvram, bwmodel, platform — the memory
 //     system substrates;
 //   - internal/kernels, lfsr — the microbenchmark generator;

@@ -9,8 +9,9 @@
 //     pattern),
 //   - through a field or variable explicitly declared as an
 //     accumulator with a trailing `//ctrmut:accumulator <reason>`
-//     marker in the package that declares it (core's 1LM flat-mode
-//     counters), which keeps cross-package exceptions auditable.
+//     marker in the package that declares it (the counters of core's
+//     flatMemory, the 1LM memory), which keeps cross-package
+//     exceptions auditable.
 //
 // Everything else — an ad-hoc `ctrl.Counters().X++` from another
 // package, a stray fixup in an experiment — is a lint error, because

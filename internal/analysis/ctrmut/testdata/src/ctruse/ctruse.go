@@ -10,8 +10,8 @@ type Report struct {
 	C imc.Counters
 }
 
-// Stats declares its accumulator explicitly, the way core declares
-// its 1LM flat-mode counters; the marker keeps the exception
+// Stats declares its accumulator explicitly, the way core's 1LM
+// flatMemory declares its counters; the marker keeps the exception
 // auditable and the guarantee test greppable.
 type Stats struct {
 	flat imc.Counters //ctrmut:accumulator fixture accumulator, flushed via Total

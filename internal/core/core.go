@@ -15,9 +15,13 @@
 // System filters them through a small last-level-cache model (so that
 // standard stores produce RFOs and *delayed* writebacks, as on real
 // hardware — the origin of the Dirty Data Optimization), forwards the
-// resulting LLC reads and writes to the memory controller, and converts
-// the exact transaction counts into elapsed time with the analytic
-// bandwidth model at every Sync point.
+// resulting LLC reads and writes to the memory behind the LLC, and
+// converts the exact transaction counts into elapsed time with the
+// analytic bandwidth model at every Sync point.
+//
+// Both modes share that front end. They differ only in the memory
+// interface behind it (flat.go): the 2LM imc.Controller, or the 1LM
+// flatMemory that addresses the two pools directly.
 //
 // Counting is exact; time is modeled. See DESIGN.md for the validation
 // of both halves against the paper.
@@ -88,18 +92,13 @@ type System struct {
 	model *bwmodel.Model
 	space *platform.AddressSpace
 
-	// 2LM path.
-	ctrl *imc.Controller
-
-	// 1LM path: devices addressed directly, with counters kept in the
-	// same imc.Counters shape for uniform reporting.
+	// mc is the memory behind the LLC: ctrl in 2LM, flat in 1LM (the
+	// other is nil). Both keep imc.Counters for uniform reporting.
+	mc       memory
+	ctrl     *imc.Controller
+	flat     *flatMemory
 	dramMod  *dram.Module
 	nvramMod *nvram.Module
-	// The 1LM ("flat" mode) demand counters. In flat mode there is no
-	// controller, so System itself accumulates the per-pool traffic;
-	// the marker declares this to the ctrmut analyzer as the one
-	// sanctioned counter-accumulation site outside internal/imc.
-	flat imc.Counters //ctrmut:accumulator 1LM flat-mode demand counters, read back via Counters()
 
 	// llc models the on-chip cache in front of the IMC: direct mapped,
 	// line granular. It exists to (a) coalesce repeated touches and
@@ -137,14 +136,10 @@ type System struct {
 	// batch is the reusable bulk-dispatch builder (scatter.go).
 	batch *Batch
 
-	// Telemetry: an optional sink sampled at demand-line boundaries
-	// from the system-level Range entry points (so samples carry the
+	// tel samples into an optional sink at demand-line boundaries from
+	// the system-level Range entry points (so samples carry the
 	// simulated clock), plus a forced labeled sample at every Sync.
-	sink        telemetry.Sink
-	sampleEvery uint64
-	nextSample  uint64
-	lastSample  uint64
-	haveSample  bool
+	tel telemetry.Sampler
 }
 
 // New builds a System from the configuration.
@@ -194,11 +189,15 @@ func New(cfg Config) (*System, error) {
 		if cfg.Policy != nil {
 			policy = *cfg.Policy
 		}
-		ctrl, err := imc.New(dramMod, nvramMod, imc.WithPolicy(policy))
-		if err != nil {
+		// The controller never gets a sink: Batch.Flush relies on that
+		// (scatter.go).
+		if s.ctrl, err = imc.New(dramMod, nvramMod, imc.WithPolicy(policy)); err != nil {
 			return nil, err
 		}
-		s.ctrl = ctrl
+		s.mc = s.ctrl
+	} else {
+		s.flat = &flatMemory{dram: dramMod, nvram: nvramMod, boundary: s.space.DRAMBoundary()}
+		s.mc = s.flat
 	}
 	return s, nil
 }
@@ -293,38 +292,6 @@ func (s *System) SetTap(tap func(op TapOp, addr uint64)) { s.tap = tap }
 
 // --- demand path -----------------------------------------------------
 
-// llcRead forwards an LLC-level read to the memory system.
-func (s *System) llcRead(addr uint64) {
-	if s.mode == Mode2LM {
-		s.ctrl.LLCRead(addr)
-		return
-	}
-	s.flat.LLCRead++
-	if s.space.PoolOf(addr) == platform.PoolDRAM {
-		s.flat.DRAMRead++
-		s.dramMod.Read(addr)
-	} else {
-		s.flat.NVRAMRead++
-		s.nvramMod.Read(addr)
-	}
-}
-
-// llcWrite forwards an LLC-level write to the memory system.
-func (s *System) llcWrite(addr uint64) {
-	if s.mode == Mode2LM {
-		s.ctrl.LLCWrite(addr)
-		return
-	}
-	s.flat.LLCWrite++
-	if s.space.PoolOf(addr) == platform.PoolDRAM {
-		s.flat.DRAMWrite++
-		s.dramMod.Write(addr)
-	} else {
-		s.flat.NVRAMWrite++
-		s.nvramMod.Write(addr)
-	}
-}
-
 // llcTouch simulates bringing addr into the on-chip cache, evicting and
 // writing back the victim if dirty. dirty marks the new line's state
 // (false for loads, true for stores and RMW).
@@ -338,10 +305,10 @@ func (s *System) llcTouch(addr uint64, dirty bool) {
 	}
 	if res == cache.MissDirty {
 		if victim, ok := s.llc.VictimAddr(set); ok {
-			s.llcWrite(victim)
+			s.mc.LLCWrite(victim)
 		}
 	}
-	s.llcRead(addr)
+	s.mc.LLCRead(addr)
 	s.llc.Insert(set, tag)
 	if dirty {
 		s.llc.MarkDirty(set)
@@ -391,14 +358,14 @@ func (s *System) StoreNT(addr uint64) {
 		// NT stores invalidate a cached copy without writing it back.
 		s.llc.Invalidate(set)
 	}
-	s.llcWrite(addr)
+	s.mc.LLCWrite(addr)
 }
 
 // The Range forms below are the batched fast path of the demand
 // pipeline: for a sequential range with no tap installed they hoist the
 // tap check out of the loop, accumulate the demand-byte counter once
 // per batch instead of once per line, and (for nontemporal stores)
-// hand the whole run to the controller's range entry point. Whenever a
+// hand the whole run to the memory's range entry point. Whenever a
 // tap is installed they fall back to the per-line calls so the tap
 // observes every operation; counter results are byte-identical either
 // way (the differential tests in fastpath_test.go pin this).
@@ -421,10 +388,10 @@ func (s *System) rangeTouch(r mem.Region, dirty bool) {
 		} else {
 			if res == cache.MissDirty {
 				if victim, ok := s.llc.VictimAddr(set); ok {
-					s.llcWrite(victim)
+					s.mc.LLCWrite(victim)
 				}
 			}
-			s.llcRead(a)
+			s.mc.LLCRead(a)
 			s.llc.Insert(set, tag)
 			if dirty {
 				s.llc.MarkDirty(set)
@@ -442,7 +409,7 @@ func (s *System) rangeTouch(r mem.Region, dirty bool) {
 // set wraps: past line 2K (K = LLC sets) every line misses against this
 // range's own install of line i-K — clean for loads, dirty for stores —
 // so the remainder needs no per-line on-chip probes. Loads stream the
-// remainder through the controller's batched read path; stores stream
+// remainder through the memory's batched read path; stores stream
 // the interleaved eviction/demand pair through LLCWritebackReadRange
 // (the victim of line i is exactly line i-K, a sequential stream K
 // lines behind). The LLC's final state — the last min(m, K) lines
@@ -459,17 +426,9 @@ func (s *System) seqRange(r mem.Region, dirty bool) {
 	}
 	base := r.Base + prefix*mem.Line
 	if dirty {
-		wbase := base - ks*mem.Line
-		if s.mode == Mode2LM {
-			s.ctrl.LLCWritebackReadRange(wbase, base, m)
-		} else {
-			s.flatWriteRange(wbase, m)
-			s.flatReadRange(base, m)
-		}
-	} else if s.mode == Mode2LM {
-		s.ctrl.LLCReadRange(base, m)
+		s.mc.LLCWritebackReadRange(base-ks*mem.Line, base, m)
 	} else {
-		s.flatReadRange(base, m)
+		s.mc.LLCReadRange(base, m)
 	}
 	flags := cache.EntryValid
 	if dirty {
@@ -490,7 +449,7 @@ func (s *System) LoadRange(r mem.Region) {
 		s.seqRange(r, false)
 		s.demandBytes += mem.Line * r.Lines()
 	}
-	if s.sink != nil {
+	if s.tel.On() {
 		s.maybeSample()
 	}
 }
@@ -505,7 +464,7 @@ func (s *System) StoreRange(r mem.Region) {
 		s.seqRange(r, true)
 		s.demandBytes += mem.Line * r.Lines()
 	}
-	if s.sink != nil {
+	if s.tel.On() {
 		s.maybeSample()
 	}
 }
@@ -520,7 +479,7 @@ func (s *System) RMWRange(r mem.Region) {
 		s.seqRange(r, true)
 		s.demandBytes += 2 * mem.Line * r.Lines()
 	}
-	if s.sink != nil {
+	if s.tel.On() {
 		s.maybeSample()
 	}
 }
@@ -529,13 +488,13 @@ func (s *System) RMWRange(r mem.Region) {
 // stores bypass the on-chip cache, so with no tap installed the whole
 // run reaches the memory system as one consecutive batch: the LLC
 // invalidation sweep happens first (it generates no traffic), then the
-// controller services the range through its batched entry point.
+// memory services the range through its batched entry point.
 func (s *System) StoreNTRange(r mem.Region) {
 	if s.tap != nil {
 		for a := r.Base; a < r.End(); a += mem.Line {
 			s.StoreNT(a)
 		}
-		if s.sink != nil {
+		if s.tel.On() {
 			s.maybeSample()
 		}
 		return
@@ -552,82 +511,11 @@ func (s *System) StoreNTRange(r mem.Region) {
 			set, tag = 0, tag+1
 		}
 	}
-	lines := r.Lines()
-	if s.mode == Mode2LM {
-		s.ctrl.LLCWriteRange(r.Base, lines)
-	} else {
-		s.flatWriteRange(r.Base, lines)
-	}
-	s.demandBytes += mem.Line * lines
-	if s.sink != nil {
+	s.mc.LLCWriteRange(r.Base, r.Lines())
+	s.demandBytes += mem.Line * r.Lines()
+	if s.tel.On() {
 		s.maybeSample()
 	}
-}
-
-// flatWriteRange routes n consecutive line writes through the 1LM
-// path, splitting the run at the DRAM/NVRAM pool boundary and batching
-// the flat counters, DRAM channel counts, and NVRAM media accounting
-// per segment. Closure-free: this sits on the //alloc:free demand path.
-func (s *System) flatWriteRange(addr uint64, n uint64) {
-	s.flat.LLCWrite += n
-	dn := s.poolSplitLines(addr, n)
-	if dn > 0 {
-		s.flat.DRAMWrite += dn
-		s.dramMod.WriteRange(addr, dn)
-	}
-	if n > dn {
-		s.flat.NVRAMWrite += n - dn
-		s.nvramMod.WriteLineRun(addr+dn*mem.Line, n-dn)
-	}
-}
-
-// flatReadRange routes n consecutive line reads through the 1LM path,
-// batched the same way as flatWriteRange.
-func (s *System) flatReadRange(addr uint64, n uint64) {
-	s.flat.LLCRead += n
-	dn := s.poolSplitLines(addr, n)
-	if dn > 0 {
-		s.flat.DRAMRead += dn
-		s.dramMod.ReadRange(addr, dn)
-	}
-	if n > dn {
-		s.flat.NVRAMRead += n - dn
-		s.nvramMod.ReadLineRun(addr+dn*mem.Line, n-dn)
-	}
-}
-
-// poolSplitLines returns how many of the n lines starting at addr fall
-// in the DRAM pool — the 1LM address space is a DRAM region followed by
-// an NVRAM region, so a run splits into at most a DRAM prefix and an
-// NVRAM suffix.
-func (s *System) poolSplitLines(addr uint64, n uint64) uint64 {
-	boundary := s.space.DRAMBoundary()
-	if addr >= boundary {
-		return 0
-	}
-	if addr+n*mem.Line <= boundary {
-		return n
-	}
-	return (boundary - addr + mem.Line - 1) / mem.Line
-}
-
-// eachPoolRun splits the n lines starting at addr into at most two
-// runs of uniform pool membership (the 1LM address space is a DRAM
-// region followed by an NVRAM region) and calls fn for each.
-func (s *System) eachPoolRun(addr uint64, n uint64, fn func(pool platform.Pool, base, cnt uint64)) {
-	end := addr + n*mem.Line
-	boundary := s.space.DRAMBoundary()
-	if addr >= boundary {
-		fn(platform.PoolNVRAM, addr, n)
-		return
-	}
-	if end <= boundary {
-		fn(platform.PoolDRAM, addr, n)
-		return
-	}
-	dramLines := (boundary - addr + mem.Line - 1) / mem.Line
-	fn(platform.PoolDRAM, addr, dramLines)
-	fn(platform.PoolNVRAM, addr+dramLines*mem.Line, n-dramLines)
 }
 
 // SetDMABandwidth configures the copy-engine ceiling in bytes/s for
@@ -658,41 +546,16 @@ func (s *System) DMACopy(src, dst mem.Region) {
 	if s.mode == Mode2LM {
 		// Behind the cache: the engine's streams reach the controller
 		// as consecutive LLC-level reads and writes, serviced batched.
-		s.ctrl.LLCReadRange(src.Base, srcLines)
-		s.ctrl.LLCWriteRange(dst.Base, srcLines)
+		s.mc.LLCReadRange(src.Base, srcLines)
+		s.mc.LLCWriteRange(dst.Base, srcLines)
 	} else {
-		route := func(write bool) func(pool platform.Pool, base, cnt uint64) {
-			return func(pool platform.Pool, base, cnt uint64) {
-				if pool == platform.PoolDRAM {
-					if write {
-						s.flat.DRAMWrite += cnt
-						s.dramMod.WriteRange(base, cnt)
-					} else {
-						s.flat.DRAMRead += cnt
-						s.dramMod.ReadRange(base, cnt)
-					}
-					return
-				}
-				end := base + cnt*mem.Line
-				if write {
-					s.flat.NVRAMWrite += cnt
-					for a := base; a < end; a += mem.Line {
-						s.nvramMod.Write(a)
-					}
-				} else {
-					s.flat.NVRAMRead += cnt
-					for a := base; a < end; a += mem.Line {
-						s.nvramMod.Read(a)
-					}
-				}
-				s.dmaNV += cnt
-			}
-		}
-		s.eachPoolRun(src.Base, srcLines, route(false))
-		s.eachPoolRun(dst.Base, srcLines, route(true))
+		// App-direct: the engine drives the devices without passing the
+		// LLC, so its lines count as device traffic but not demand.
+		s.dmaNV += s.flat.readRun(src.Base, srcLines)
+		s.dmaNV += s.flat.writeRun(dst.Base, srcLines)
 	}
 	s.dmaBytes += 2 * src.Size
-	if s.sink != nil {
+	if s.tel.On() {
 		s.maybeSample()
 	}
 }
@@ -705,7 +568,7 @@ func (s *System) DrainLLC() {
 	for set := uint64(0); set < sets; set++ {
 		if s.llc.IsDirty(set) {
 			if victim, ok := s.llc.VictimAddr(set); ok {
-				s.llcWrite(victim)
+				s.mc.LLCWrite(victim)
 			}
 		}
 	}
@@ -714,13 +577,8 @@ func (s *System) DrainLLC() {
 
 // --- statistics and time ---------------------------------------------
 
-// Counters returns the cumulative memory-controller counters.
-func (s *System) Counters() imc.Counters {
-	if s.mode == Mode2LM {
-		return s.ctrl.Counters()
-	}
-	return s.flat
-}
+// Counters returns the cumulative counters of the memory behind the LLC.
+func (s *System) Counters() imc.Counters { return s.mc.Counters() }
 
 // DemandBytes returns total CPU-visible bytes touched.
 func (s *System) DemandBytes() uint64 { return s.demandBytes }
@@ -740,13 +598,7 @@ func (s *System) Series() *perfcounter.Series { return &s.series }
 // Sync additionally force-records a labeled sample at every interval
 // boundary regardless of the demand clock.
 func (s *System) SetTelemetry(sink telemetry.Sink, every uint64) {
-	s.sink = sink
-	s.sampleEvery = every
-	s.haveSample = false
-	s.lastSample = 0
-	if sink != nil {
-		s.nextSample = telemetry.NextBoundary(s.Counters().Demand(), every)
-	}
+	s.tel.Attach(sink, every, s.Counters().Demand())
 }
 
 // Snapshot implements telemetry.Source: the system counters plus the
@@ -754,39 +606,17 @@ func (s *System) SetTelemetry(sink telemetry.Sink, every uint64) {
 // absent, as on the controller (see imc.Controller.Snapshot); use
 // NVRAM().Snapshot for media-granularity observation.
 func (s *System) Snapshot() telemetry.Sample {
-	ctr := s.Counters()
-	sample := telemetry.Sample{
-		Demand:       ctr.Demand(),
-		Clock:        s.clock,
-		LLCRead:      ctr.LLCRead,
-		LLCWrite:     ctr.LLCWrite,
-		DRAMRead:     ctr.DRAMRead,
-		DRAMWrite:    ctr.DRAMWrite,
-		NVRAMRead:    ctr.NVRAMRead,
-		NVRAMWrite:   ctr.NVRAMWrite,
-		TagHit:       ctr.TagHit,
-		TagMissClean: ctr.TagMissClean,
-		TagMissDirty: ctr.TagMissDirty,
-		DDO:          ctr.DDO,
-	}
-	chs := s.dramMod.ChannelCounters()
-	sample.ChannelReads = make([]uint64, len(chs))
-	sample.ChannelWrites = make([]uint64, len(chs))
-	for i, ch := range chs {
-		sample.ChannelReads[i] = ch.CASReads
-		sample.ChannelWrites[i] = ch.CASWrites
-	}
+	sample := s.Counters().Sample(s.dramMod)
+	sample.Clock = s.clock
 	return sample
 }
 
 // maybeSample records a sample if the demand clock crossed the next
-// sampling boundary. Callers have already checked sink != nil.
+// sampling boundary. Callers have already checked tel.On.
 func (s *System) maybeSample() {
-	d := s.Counters().Demand()
-	if d < s.nextSample {
-		return
+	if s.tel.Due(s.Counters().Demand()) {
+		s.recordSample("")
 	}
-	s.recordSample("")
 }
 
 // recordSample snapshots the system and hands the sample to the sink.
@@ -797,24 +627,16 @@ func (s *System) maybeSample() {
 func (s *System) recordSample(label string) {
 	sample := s.Snapshot()
 	sample.Label = label
-	s.sink.Record(sample)
-	s.lastSample = sample.Demand
-	s.haveSample = true
-	s.nextSample = telemetry.NextBoundary(sample.Demand, s.sampleEvery)
+	s.tel.Emit(sample)
 }
 
 // FlushTelemetry records a final sample for the partial tail interval
 // if demand advanced past the last recorded sample (or none was
 // recorded yet). No-op without a sink.
 func (s *System) FlushTelemetry() {
-	if s.sink == nil {
-		return
+	if s.tel.Pending(s.Counters().Demand()) {
+		s.recordSample("")
 	}
-	d := s.Counters().Demand()
-	if s.haveSample && d == s.lastSample {
-		return
-	}
-	s.recordSample("")
 }
 
 // nvramPattern maps the demand pattern onto the pattern the NVRAM
@@ -959,7 +781,7 @@ func (s *System) Sync(label string, computeSeconds float64) perfcounter.Sample {
 	s.lastDMA = s.dmaBytes
 	s.lastDNV = s.dmaNV
 	s.instr = 0
-	if s.sink != nil {
+	if s.tel.On() {
 		// Interval boundaries are always worth a sample: record one
 		// carrying the interval label, regardless of the demand clock.
 		s.recordSample(label)
@@ -995,13 +817,7 @@ func (s *System) EffectiveBW() float64 {
 // series, preserving cache contents — the paper's procedure of priming
 // the DRAM cache and then measuring.
 func (s *System) ResetStats() {
-	if s.mode == Mode2LM {
-		s.ctrl.ResetCounters()
-	} else {
-		s.flat = imc.Counters{}
-		s.dramMod.Reset()
-		s.nvramMod.Reset()
-	}
+	s.mc.ResetCounters()
 	s.clock = 0
 	s.demandBytes = 0
 	s.lastCtr = imc.Counters{}
@@ -1012,12 +828,8 @@ func (s *System) ResetStats() {
 	s.lastDMA = 0
 	s.lastDNV = 0
 	s.series = perfcounter.Series{}
-	if s.sink != nil {
-		// The demand clock rewound to zero; restart the sampling phase.
-		s.haveSample = false
-		s.lastSample = 0
-		s.nextSample = telemetry.NextBoundary(0, s.sampleEvery)
-	}
+	// The demand clock rewound to zero; restart the sampling phase.
+	s.tel.Rewind()
 }
 
 // String summarizes the system configuration.

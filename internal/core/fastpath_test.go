@@ -245,20 +245,47 @@ func TestDMACopy1LMPoolSplit(t *testing.T) {
 	}
 }
 
+// TestFastPath1LMPoolBoundary drives every 1LM dispatch form over a
+// region straddling the DRAM/NVRAM pool boundary — the Range forms'
+// runs, the Batch filter's scatter and DMACopy all split there — and
+// requires the per-line traffic (tapped twin) byte for byte.
+func TestFastPath1LMPoolBoundary(t *testing.T) {
+	slow, fast := newFastpathPair(t, fastpathConfigs()["1lm"])
+	boundary := slow.AddressSpace().DRAMBoundary()
+	region := mem.Region{Base: boundary - 128*mem.KiB, Size: 256 * mem.KiB}
+	dst := mem.Region{Base: boundary + mem.MiB, Size: region.Size}
+	for _, sys := range []*System{slow, fast} {
+		driveSequential(sys, region)
+		driveRandom(t, sys, region)
+		driveBatchMix(t, sys, region, 0xB0)
+		sys.DMACopy(region, dst)
+		sys.DMACopy(dst, region)
+		sys.DrainLLC()
+	}
+	ctr := fast.Counters()
+	if ctr.DRAMRead == 0 || ctr.NVRAMRead == 0 || ctr.DRAMWrite == 0 || ctr.NVRAMWrite == 0 {
+		t.Fatalf("region does not exercise both pools: %v", ctr)
+	}
+	assertSameSystemTraffic(t, "1lm-pool-boundary", slow, fast)
+}
+
 // TestFastPathUnalignedRegions sweeps odd region shapes (non-multiple
 // sizes, offset bases) so the batched line accounting matches the
-// per-line loop bounds exactly.
+// per-line loop bounds exactly, in both modes and every 2LM policy.
 func TestFastPathUnalignedRegions(t *testing.T) {
-	for _, size := range []uint64{mem.Line, 3 * mem.Line, 100, 1000, 64*mem.KiB - 64} {
-		cfg := Config{Mode: Mode2LM}
-		slow, fast := newFastpathPair(t, cfg)
-		region := mem.Region{Base: 128 * mem.Line, Size: size}
-		slow.LoadRange(region)
-		slow.StoreNTRange(region)
-		fast.LoadRange(region)
-		fast.StoreNTRange(region)
-		slow.DrainLLC()
-		fast.DrainLLC()
-		assertSameSystemTraffic(t, fmt.Sprintf("size-%d", size), slow, fast)
+	for name, cfg := range fastpathConfigs() {
+		t.Run(name, func(t *testing.T) {
+			for _, size := range []uint64{mem.Line, 3 * mem.Line, 100, 1000, 64*mem.KiB - 64} {
+				slow, fast := newFastpathPair(t, cfg)
+				region := mem.Region{Base: 128 * mem.Line, Size: size}
+				slow.LoadRange(region)
+				slow.StoreNTRange(region)
+				fast.LoadRange(region)
+				fast.StoreNTRange(region)
+				slow.DrainLLC()
+				fast.DrainLLC()
+				assertSameSystemTraffic(t, fmt.Sprintf("size-%d", size), slow, fast)
+			}
+		})
 	}
 }

@@ -3,11 +3,11 @@
 // *arbitrary* ones. Workloads append Load/Store/RMW/StoreNT operations
 // and the builder dispatches them in bulk — the on-chip LLC filter
 // runs in appended order (its outcomes are order-sensitive and cheap),
-// and the surviving memory-controller requests go to the controller's
-// chunked LLCScatter entry point in one call instead of one virtual
-// walk per line. Counter results are byte-identical to calling
-// the per-line operations in appended order (the differential tests in
-// scatter_test.go pin this); when a tap is installed, operations fall
+// and the surviving requests go to the memory's LLCScatter entry point
+// one chunk at a time instead of one call per line, in both modes.
+// Counter results are byte-identical to calling the per-line
+// operations in appended order (the differential tests in
+// batch_test.go pin this); when a tap is installed, operations fall
 // through to the per-line calls so traces observe every operation.
 package core
 
@@ -34,12 +34,18 @@ const (
 // cap flushes automatically, so callers only need a final Flush.
 const batchFlushOps = 1 << 20
 
+// batchChunk is the filter's granularity: Flush filters at most
+// batchChunk pending operations at a time and hands their requests to
+// the memory in one LLCScatter call, so the request buffer is a fixed
+// 2*batchChunk (a miss may emit a victim writeback and a fill read).
+const batchChunk = 1 << 12
+
 // Batch accumulates demand operations for bulk dispatch. Obtain one
 // with System.Batch; the zero value is not usable.
 type Batch struct {
 	sys  *System
 	ops  []uint64
-	reqs []imc.Req
+	reqs [2 * batchChunk]imc.Req
 }
 
 // Batch returns the system-owned batch builder, creating it on first
@@ -108,28 +114,32 @@ func (b *Batch) StoreNT(addr uint64) { b.add(addr, batchOpStoreNT) }
 // Flush dispatches all pending operations. Always call once after the
 // last append; intermediate flushes happen automatically.
 //
-//alloc:free flush reuses the request buffers; 0 allocs/op by benchmark contract
+// The chunks are byte-identical to one LLCScatter over the whole batch
+// because the LLC filter and the memory share no state, and the memory
+// services each call in slice order. Only sampling could tell them
+// apart: imc samples once per LLCScatter call, so a sink on the
+// controller would see one sample per chunk. core never gives its
+// controller a sink (System samples at Flush instead); keep it so.
+//
+//alloc:free flush reuses the request buffer; 0 allocs/op by benchmark contract
 func (b *Batch) Flush() {
 	if len(b.ops) == 0 {
 		return
 	}
 	s := b.sys
-	if s.mode == Mode2LM {
-		b.flush2LM()
-	} else {
-		b.flush1LM()
+	for off := 0; off < len(b.ops); off += batchChunk {
+		s.mc.LLCScatter(b.filter(b.ops[off:min(off+batchChunk, len(b.ops))]))
 	}
 	b.ops = b.ops[:0]
-	if s.sink != nil {
+	if s.tel.On() {
 		s.maybeSample()
 	}
 }
 
-// flush2LM runs the LLC filter over the pending operations in appended
-// order, collecting the resulting memory-controller request stream
+// filter runs the LLC filter over at most batchChunk operations in
+// appended order and returns the resulting memory request stream
 // (victim writebacks interleaved before their misses' fills, exactly
-// as llcTouch would issue them), then hands the whole batch to the
-// controller's chunked in-order dispatch.
+// as llcTouch would issue them).
 //
 // The filter works directly on the LLC's flat packed tag array: one
 // load and one store per operation, with the hit/miss outcome applied
@@ -139,13 +149,9 @@ func (b *Batch) Flush() {
 // next slot is overwritten when an operation contributes nothing)
 // instead of branchy appends. Results are byte-identical to the
 // per-line filter in appended order.
-func (b *Batch) flush2LM() {
+func (b *Batch) filter(ops []uint64) []imc.Req {
 	s := b.sys
-	ops := b.ops
-	if cap(b.reqs) < 2*len(ops) {
-		b.reqs = make([]imc.Req, 2*len(ops))
-	}
-	rq := b.reqs[:cap(b.reqs)]
+	rq := &b.reqs
 	idx := 0
 	var bytes uint64
 	words := s.llc.DirectEntries()
@@ -197,37 +203,6 @@ func (b *Batch) flush2LM() {
 		}
 		words[set] = nw
 	}
-	b.reqs = rq[:idx]
 	s.demandBytes += bytes
-	s.ctrl.LLCScatter(rq[:idx])
-}
-
-// flush1LM dispatches the pending operations through the flat-mode
-// path in appended order — the same work as the per-line calls with
-// the tap check and demand-byte accounting hoisted out of the loop.
-func (b *Batch) flush1LM() {
-	s := b.sys
-	var bytes uint64
-	for _, w := range b.ops {
-		addr := w &^ batchLineMask
-		switch w & batchOpMask {
-		case batchOpLoad:
-			bytes += mem.Line
-			s.llcTouch(addr, false)
-		case batchOpStore:
-			bytes += mem.Line
-			s.llcTouch(addr, true)
-		case batchOpRMW:
-			bytes += 2 * mem.Line
-			s.llcTouch(addr, true)
-		default: // nontemporal store
-			bytes += mem.Line
-			set, _, res := s.llc.Lookup(addr)
-			if res == cache.Hit {
-				s.llc.Invalidate(set)
-			}
-			s.llcWrite(addr)
-		}
-	}
-	s.demandBytes += bytes
+	return rq[:idx]
 }

@@ -189,16 +189,12 @@ type Controller struct {
 	sets uint64
 	nch  int
 
-	// Telemetry: an optional sink sampled at demand-line boundaries.
-	// The hooks live only at the batched range entry points, behind a
-	// nil check, so the disabled cost is one branch per range. The
-	// boundary arithmetic lives in telemetry.NextBoundary — this
-	// package's hot paths stay division-free (hotdiv).
-	sink        telemetry.Sink
-	sampleEvery uint64
-	nextSample  uint64
-	lastSample  uint64 // demand at the last recorded sample
-	haveSample  bool
+	// tel samples into an optional sink at demand-line boundaries.
+	// The hooks live only at the batched range entry points, behind
+	// tel.On, so the disabled cost is one branch per range. The
+	// boundary arithmetic lives in telemetry — this package's hot paths
+	// stay division-free (hotdiv).
+	tel telemetry.Sampler
 
 	// Batched dispatch scratch (scatter.go), reused across batches so
 	// the steady-state random path allocates nothing.
@@ -311,13 +307,7 @@ func New(dramMod *dram.Module, nvramMod *nvram.Module, opts ...Option) (*Control
 // computed from the current counters, so attaching mid-run starts a
 // fresh sampling phase.
 func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
-	c.sink = sink
-	c.sampleEvery = every
-	c.haveSample = false
-	c.lastSample = 0
-	if sink != nil {
-		c.nextSample = telemetry.NextBoundary(c.demand(), every)
-	}
+	c.tel.Attach(sink, every, c.demand())
 }
 
 // Snapshot implements telemetry.Source: the controller counters plus
@@ -325,22 +315,26 @@ func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 // absent — media merging depends on how the address stream is
 // partitioned over combining buffers, which a serial controller and
 // a line-interleaved channel split do differently; use nvram.Module.Snapshot for media.
-func (c *Controller) Snapshot() telemetry.Sample {
-	ctr := c.Counters()
+func (c *Controller) Snapshot() telemetry.Sample { return c.Counters().Sample(c.DRAM) }
+
+// Sample converts the counters, plus d's per-channel CAS counts, into a
+// telemetry sample with no clock: the shared body of the controller's
+// and core.System's Snapshot.
+func (c Counters) Sample(d *dram.Module) telemetry.Sample {
 	s := telemetry.Sample{
-		Demand:       ctr.Demand(),
-		LLCRead:      ctr.LLCRead,
-		LLCWrite:     ctr.LLCWrite,
-		DRAMRead:     ctr.DRAMRead,
-		DRAMWrite:    ctr.DRAMWrite,
-		NVRAMRead:    ctr.NVRAMRead,
-		NVRAMWrite:   ctr.NVRAMWrite,
-		TagHit:       ctr.TagHit,
-		TagMissClean: ctr.TagMissClean,
-		TagMissDirty: ctr.TagMissDirty,
-		DDO:          ctr.DDO,
+		Demand:       c.Demand(),
+		LLCRead:      c.LLCRead,
+		LLCWrite:     c.LLCWrite,
+		DRAMRead:     c.DRAMRead,
+		DRAMWrite:    c.DRAMWrite,
+		NVRAMRead:    c.NVRAMRead,
+		NVRAMWrite:   c.NVRAMWrite,
+		TagHit:       c.TagHit,
+		TagMissClean: c.TagMissClean,
+		TagMissDirty: c.TagMissDirty,
+		DDO:          c.DDO,
 	}
-	chs := c.DRAM.ChannelCounters()
+	chs := d.ChannelCounters()
 	s.ChannelReads = make([]uint64, len(chs))
 	s.ChannelWrites = make([]uint64, len(chs))
 	for i, ch := range chs {
@@ -363,35 +357,23 @@ func (c *Controller) demand() uint64 {
 }
 
 // maybeSample records a sample if the demand clock crossed the next
-// sampling boundary. Callers have already checked sink != nil.
+// sampling boundary. Callers have already checked tel.On.
 func (c *Controller) maybeSample() {
-	d := c.demand()
-	if d < c.nextSample {
-		return
+	if c.tel.Due(c.demand()) {
+		c.recordSample()
 	}
-	c.recordSample(d)
 }
 
 //alloc:cold telemetry samples fire once per sampling interval, not per line; the snapshot copies amortize to ~0 allocs/op
-func (c *Controller) recordSample(d uint64) {
-	c.sink.Record(c.Snapshot())
-	c.lastSample = d
-	c.haveSample = true
-	c.nextSample = telemetry.NextBoundary(d, c.sampleEvery)
-}
+func (c *Controller) recordSample() { c.tel.Emit(c.Snapshot()) }
 
 // FlushTelemetry records a final sample for the partial tail interval
 // if demand advanced past the last recorded sample (or none was
 // recorded yet). No-op without a sink.
 func (c *Controller) FlushTelemetry() {
-	if c.sink == nil {
-		return
+	if c.tel.Pending(c.demand()) {
+		c.recordSample()
 	}
-	d := c.demand()
-	if c.haveSample && d == c.lastSample {
-		return
-	}
-	c.recordSample(d)
 }
 
 // Policy returns the controller's configured policy.
@@ -434,12 +416,8 @@ func (c *Controller) ResetCounters() {
 	c.hist = [nOutcomes]uint64{}
 	c.DRAM.Reset()
 	c.NVRAM.Reset()
-	if c.sink != nil {
-		// The demand clock rewound to zero; restart the sampling phase.
-		c.haveSample = false
-		c.lastSample = 0
-		c.nextSample = telemetry.NextBoundary(0, c.sampleEvery)
-	}
+	// The demand clock rewound to zero; restart the sampling phase.
+	c.tel.Rewind()
 }
 
 // Reset returns the controller to its as-constructed state: counters
@@ -515,7 +493,7 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 	} else {
 		c.walk(addr, n, false)
 	}
-	if c.sink != nil {
+	if c.tel.On() {
 		c.maybeSample()
 	}
 }
@@ -538,7 +516,7 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 	} else {
 		c.walk(addr, n, true)
 	}
-	if c.sink != nil {
+	if c.tel.On() {
 		c.maybeSample()
 	}
 }

@@ -58,6 +58,12 @@ func ReadReq(addr uint64) Req { return Req(addr &^ lineMask) }
 // WriteReq packs an LLC writeback (or nontemporal store) of addr's line.
 func WriteReq(addr uint64) Req { return Req(addr&^lineMask | reqWrite) }
 
+// Addr returns the request's line address.
+func (r Req) Addr() uint64 { return uint64(r) &^ lineMask }
+
+// Write reports whether r is a writeback.
+func (r Req) Write() bool { return uint64(r)&reqWrite != 0 }
+
 // chiWrite marks a writeback in the packed channel word of the chunk
 // scratch; the channel index occupies the low 31 bits.
 const chiWrite uint32 = 1 << 31
@@ -99,8 +105,6 @@ type scatterState struct {
 	// calls per request do not. Same construction, same quotients.
 	setDiv fastdiv.Divisor
 	chDiv  fastdiv.Divisor
-
-	reqs []Req // packing buffer for the address-slice wrappers
 }
 
 // initScatter builds the resolve divisors and sizes the fixed scratch.
@@ -119,50 +123,18 @@ func (c *Controller) initScatter() {
 	st.casW = make([]uint64, c.nch)
 }
 
-// LLCReadScatter services a batch of demand reads at arbitrary line
-// addresses — the random-traffic analogue of LLCReadRange. Counter
-// results are byte-identical to calling LLCRead on each address in
-// slice order.
-//
-//hot:entry random-traffic batch path, driven on pooled controllers
-//alloc:free 0 allocs/op by benchmark contract (BenchmarkLLCReadScatter)
-func (c *Controller) LLCReadScatter(addrs []uint64) {
-	reqs := c.scat.reqs[:0]
-	for _, a := range addrs {
-		reqs = append(reqs, ReadReq(a))
-	}
-	c.scat.reqs = reqs
-	c.LLCScatter(reqs)
-}
-
-// LLCWriteScatter services a batch of LLC writebacks at arbitrary line
-// addresses — the random-traffic analogue of LLCWriteRange. Counter
-// results are byte-identical to calling LLCWrite on each address in
-// slice order.
-//
-//hot:entry random-traffic batch path, driven on pooled controllers
-//alloc:free 0 allocs/op by benchmark contract (BenchmarkLLCWriteScatter)
-func (c *Controller) LLCWriteScatter(addrs []uint64) {
-	reqs := c.scat.reqs[:0]
-	for _, a := range addrs {
-		reqs = append(reqs, WriteReq(a))
-	}
-	c.scat.reqs = reqs
-	c.LLCScatter(reqs)
-}
-
 // scatterSerial dispatches a batch through line in request order: the
 // ablation policies, the associative (Ways > 1) stores and geometry
 // fallbacks.
 func (c *Controller) scatterSerial(reqs []Req) {
 	st := &c.scat
 	for _, r := range reqs {
-		a := uint64(r) &^ lineMask
+		a := r.Addr()
 		tag, set := st.setDiv.DivMod(a >> mem.LineShift)
 		ch := st.chDiv.Mod(a >> mem.LineShift)
-		c.line(set, uint32(tag), int(ch), a, uint64(r)&reqWrite != 0)
+		c.line(set, uint32(tag), int(ch), a, r.Write())
 	}
-	if c.sink != nil {
+	if c.tel.On() {
 		c.maybeSample()
 	}
 }
@@ -196,7 +168,7 @@ func (c *Controller) LLCScatter(reqs []Req) {
 	for i, w := range st.casW {
 		c.DRAM.ChannelAt(i).CASWrites += w
 	}
-	if c.sink != nil {
+	if c.tel.On() {
 		c.maybeSample()
 	}
 }

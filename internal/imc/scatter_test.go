@@ -65,10 +65,10 @@ func scatterStream(t *testing.T, spanLines uint64) []Req {
 // slice order — the reference semantics LLCScatter must reproduce.
 func replaySerial(c *Controller, reqs []Req) {
 	for _, r := range reqs {
-		if uint64(r)&1 == 0 {
-			c.LLCRead(uint64(r))
+		if r.Write() {
+			c.LLCWrite(r.Addr())
 		} else {
-			c.LLCWrite(uint64(r) &^ 1)
+			c.LLCRead(r.Addr())
 		}
 	}
 }
@@ -101,34 +101,6 @@ func TestScatterMatchesPerLine(t *testing.T) {
 	}
 }
 
-// TestScatterWrappersMatchPerLine pins the address-slice wrappers:
-// LLCReadScatter and LLCWriteScatter are byte-identical to per-line
-// LLCRead/LLCWrite in slice order.
-func TestScatterWrappersMatchPerLine(t *testing.T) {
-	for name, policy := range scatterPolicies() {
-		t.Run(name, func(t *testing.T) {
-			perLine, batched := newRangePair(t, policy)
-			spanLines := uint64(2*perLine.DRAM.Capacity()) / mem.Line
-			addrs := make([]uint64, 0, spanLines)
-			err := lfsr.Sequence(spanLines, 0xACE1, func(idx uint64) {
-				addrs = append(addrs, idx*mem.Line)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range addrs {
-				perLine.LLCRead(a)
-			}
-			batched.LLCReadScatter(addrs)
-			for _, a := range addrs {
-				perLine.LLCWrite(a)
-			}
-			batched.LLCWriteScatter(addrs)
-			assertSameTraffic(t, name, perLine, batched)
-		})
-	}
-}
-
 // TestScatterChunkBoundaries sweeps batch lengths around the dispatch
 // chunk size (empty, single, one off either side of one and two full
 // chunks), where cursor and chunk-slicing bugs would live.
@@ -155,7 +127,5 @@ func TestScatterChunkBoundaries(t *testing.T) {
 func TestScatterEmptyBatch(t *testing.T) {
 	perLine, batched := newRangePair(t, HardwarePolicy())
 	batched.LLCScatter(nil)
-	batched.LLCReadScatter(nil)
-	batched.LLCWriteScatter(nil)
 	assertSameTraffic(t, "empty", perLine, batched)
 }

@@ -221,7 +221,7 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 			c.LLCWrite(waddr + i*mem.Line)
 			c.LLCRead(raddr + i*mem.Line)
 		}
-		if c.sink != nil {
+		if c.tel.On() {
 			c.maybeSample()
 		}
 		return
@@ -265,7 +265,7 @@ func (c *Controller) LLCWritebackReadRange(waddr, raddr, n uint64) {
 		sr, tr := c.Cache.Index(raddr + (n-gr)*mem.Line)
 		c.Cache.StampSeqRun(sr, tr, gr, cache.EntryValid|cache.EntryLLCOwned)
 	}
-	if c.sink != nil {
+	if c.tel.On() {
 		c.maybeSample()
 	}
 }

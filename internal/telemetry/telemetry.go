@@ -30,7 +30,7 @@
 //
 // Hooks in producers live only at batched range boundaries
 // (imc LLCReadRange/LLCWriteRange and the core.System Range entry
-// points) behind a nil-sink check, so the disabled cost of the whole
+// points) behind Sampler.On, so the disabled cost of the whole
 // subsystem is one branch per range.
 package telemetry
 
@@ -237,67 +237,57 @@ func WithLabel(sink Sink, label string) Sink {
 
 // --- sampler ----------------------------------------------------------
 
-// Sampler drives a Sink from a Source at a fixed demand-line
-// interval: Tick snapshots the source and records iff the source's
-// cumulative demand has crossed the next multiple of Every since the
-// last recorded sample. It is the generic driver for producers that
-// do not embed their own hook (per-op replay loops, tests); the
-// controller and engine hooks implement the same boundary rule
-// inline so their disabled cost stays one branch.
+// Sampler is the demand-boundary sampling state every producer embeds
+// (imc.Controller, core.System): the attached sink, the interval, and
+// where the last sample fell. The producer supplies its demand count
+// and its snapshot; Sampler decides when a sample is due. Multiple
+// boundaries crossed between two checks collapse into one sample — the
+// recorded series reflects the producer's batching points, which
+// deterministic comparisons must share. The zero value is detached.
 type Sampler struct {
-	src   Source
 	sink  Sink
 	every uint64
-	next  uint64
+	next  uint64 // demand at which the next sample is due
 	last  uint64 // demand at the last recorded sample
-	have  bool   // a sample has been recorded
+	have  bool   // a sample has been recorded since Attach
 }
 
-// NewSampler returns a sampler emitting every `every` demand lines
-// (every == 0 records on each Tick).
-func NewSampler(src Source, sink Sink, every uint64) *Sampler {
-	return &Sampler{src: src, sink: sink, every: every, next: every}
+// Attach sets the sink (nil detaches) and the interval in demand lines
+// (every == 0 samples at each check), and starts a fresh sampling
+// phase at the producer's current demand.
+func (sp *Sampler) Attach(sink Sink, every, demand uint64) {
+	*sp = Sampler{sink: sink, every: every, next: NextBoundary(demand, every)}
 }
 
-// Tick samples the source if its demand clock crossed the sampling
-// boundary, returning whether a sample was recorded. Multiple
-// boundaries crossed since the last Tick collapse into one sample —
-// the recorded series reflects the producer's batching points, which
-// deterministic comparisons must share.
-func (sp *Sampler) Tick() bool {
-	snap := sp.src.Snapshot()
-	if snap.Demand < sp.next {
-		return false
-	}
-	sp.record(snap)
-	return true
+// On reports whether a sink is attached. Producers guard their hooks
+// with it, so the disabled cost of sampling is this one branch.
+func (sp *Sampler) On() bool { return sp.sink != nil }
+
+// Due reports whether demand crossed the next sampling boundary.
+func (sp *Sampler) Due(demand uint64) bool { return demand >= sp.next }
+
+// Pending reports whether a sink is attached and demand advanced past
+// the last recorded sample (or none was recorded yet): the end-of-run
+// partial interval a final flush records.
+func (sp *Sampler) Pending(demand uint64) bool {
+	return sp.sink != nil && (!sp.have || demand != sp.last)
 }
 
-// Flush records a final sample if demand advanced past the last
-// recorded sample — the end-of-run partial interval.
-func (sp *Sampler) Flush() bool {
-	snap := sp.src.Snapshot()
-	if sp.have && snap.Demand == sp.last {
-		return false
-	}
-	sp.record(snap)
-	return true
+// Emit hands s to the sink and advances the next boundary past
+// s.Demand.
+func (sp *Sampler) Emit(s Sample) {
+	sp.sink.Record(s)
+	sp.last, sp.have = s.Demand, true
+	sp.next = NextBoundary(s.Demand, sp.every)
 }
 
-func (sp *Sampler) record(snap Sample) {
-	sp.sink.Record(snap)
-	sp.last = snap.Demand
-	sp.have = true
-	if sp.every == 0 {
-		sp.next = snap.Demand + 1
-	} else {
-		sp.next = (snap.Demand/sp.every + 1) * sp.every
-	}
-}
+// Rewind restarts the sampling phase after the producer's demand clock
+// was reset to zero.
+func (sp *Sampler) Rewind() { sp.Attach(sp.sink, sp.every, 0) }
 
 // NextBoundary returns the first sampling boundary strictly above
-// demand for the given interval — the shared advance rule of every
-// inline producer hook (every == 0 means "next demand line").
+// demand for the given interval — Sampler's advance rule (every == 0
+// means "next demand line").
 func NextBoundary(demand, every uint64) uint64 {
 	if every == 0 {
 		return demand + 1

@@ -90,45 +90,63 @@ func TestTeeAndWithLabel(t *testing.T) {
 	}
 }
 
-// fakeSource is a Source whose demand the test advances by hand.
-type fakeSource struct{ s Sample }
+// tick and flush drive sp the way a producer does: check, then emit a
+// sample at demand d. tick is the per-range hook, flush the tail.
+func tick(sp *Sampler, d uint64) bool {
+	if !sp.On() || !sp.Due(d) {
+		return false
+	}
+	sp.Emit(sampleAt(d))
+	return true
+}
 
-func (f *fakeSource) Snapshot() Sample { return f.s }
+func flush(sp *Sampler, d uint64) bool {
+	if !sp.Pending(d) {
+		return false
+	}
+	sp.Emit(sampleAt(d))
+	return true
+}
 
 func TestSamplerBoundaries(t *testing.T) {
-	src := &fakeSource{}
 	rec := NewRecorder()
-	sp := NewSampler(src, rec, 100)
+	var sp Sampler
+	if tick(&sp, 100) || flush(&sp, 100) {
+		t.Fatal("a detached sampler must never sample")
+	}
+	sp.Attach(rec, 100, 0)
 
-	src.s = sampleAt(50)
-	if sp.Tick() {
+	if tick(&sp, 50) {
 		t.Fatal("should not sample below the first boundary")
 	}
-	src.s = sampleAt(100)
-	if !sp.Tick() {
+	if !tick(&sp, 100) {
 		t.Fatal("should sample at the boundary")
 	}
 	// Crossing several boundaries at once collapses into one sample.
-	src.s = sampleAt(450)
-	if !sp.Tick() {
+	if !tick(&sp, 450) {
 		t.Fatal("should sample after skipping boundaries")
 	}
-	src.s = sampleAt(460)
-	if sp.Tick() {
+	if tick(&sp, 460) {
 		t.Fatal("next boundary should be 500 after sampling at 450")
 	}
 	// Flush records the partial tail exactly once.
-	if !sp.Flush() {
+	if !flush(&sp, 460) {
 		t.Fatal("flush with advanced demand should record")
 	}
-	if sp.Flush() {
+	if flush(&sp, 460) {
 		t.Fatal("second flush without progress should not record")
+	}
+	// Rewind restarts the phase at demand 0: the tail is pending again
+	// and the first boundary is 100 once more.
+	sp.Rewind()
+	if tick(&sp, 99) || !tick(&sp, 100) {
+		t.Fatal("rewind should restart the boundaries at 0")
 	}
 	demands := []uint64{}
 	for _, s := range rec.Samples() {
 		demands = append(demands, s.Demand)
 	}
-	want := []uint64{100, 450, 460}
+	want := []uint64{100, 450, 460, 100}
 	if len(demands) != len(want) {
 		t.Fatalf("recorded demands %v, want %v", demands, want)
 	}
@@ -140,18 +158,15 @@ func TestSamplerBoundaries(t *testing.T) {
 }
 
 func TestSamplerEveryZeroRecordsEachTick(t *testing.T) {
-	src := &fakeSource{}
-	rec := NewRecorder()
-	sp := NewSampler(src, rec, 0)
-	src.s = sampleAt(1)
-	if !sp.Tick() {
+	var sp Sampler
+	sp.Attach(NewRecorder(), 0, 0)
+	if !tick(&sp, 1) {
 		t.Fatal("every=0 should record on each advancing tick")
 	}
-	if sp.Tick() {
+	if tick(&sp, 1) {
 		t.Fatal("every=0 should not re-record without progress")
 	}
-	src.s = sampleAt(2)
-	if !sp.Tick() {
+	if !tick(&sp, 2) {
 		t.Fatal("every=0 should record after progress")
 	}
 }

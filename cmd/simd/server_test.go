@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -192,6 +194,35 @@ func TestSubmitValidationErrors(t *testing.T) {
 		if len(eb.Violations) != 1 || eb.Violations[0].Field != "sweep" ||
 			!strings.Contains(eb.Violations[0].Msg, strconv.Itoa(jobspec.MaxPoints)) {
 			t.Errorf("violations = %v, want one on sweep naming the %d-point cap", eb.Violations, jobspec.MaxPoints)
+		}
+	})
+
+	// The reject-cap-* documents of jobspec's FuzzDecode seed corpus
+	// each name a geometry that would make the server allocate
+	// gigabytes; each is one 400 violation, never an out-of-memory kill.
+	t.Run("hostile geometries", func(t *testing.T) {
+		paths, err := filepath.Glob("../../internal/jobspec/testdata/fuzz/FuzzDecode/reject-cap-*")
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("no reject-cap corpus entries: %v", err)
+		}
+		for _, p := range paths {
+			b, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+			doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			var eb errorBody
+			if resp := postJob(t, ts, doc, &eb); resp.StatusCode != http.StatusBadRequest || len(eb.Violations) != 1 {
+				t.Errorf("%s: status %d, violations %v; want 400 with one violation",
+					filepath.Base(p), resp.StatusCode, eb.Violations)
+			}
+		}
+		if resp := getJSON(t, ts.URL+"/healthz", nil); resp.StatusCode != http.StatusOK {
+			t.Errorf("healthz after hostile posts: status %d", resp.StatusCode)
 		}
 	})
 

@@ -41,20 +41,17 @@ type Config struct {
 	// PRRounds bounds pagerank-push (the paper runs 100 rounds; scaled
 	// runs use fewer). 0 selects the default.
 	PRRounds int
-	// PRTolerance is the pagerank residual threshold (paper: 1e-6).
-	PRTolerance float64
 	// KCoreK is the k-core parameter (paper: k=100 on billion-edge
 	// graphs; scaled graphs use a k matched to their degree scale).
 	KCoreK int
-	// MaxRounds bounds iterative kernels against pathological inputs.
-	MaxRounds int
-	// SequentialOrder makes round-based kernels visit nodes in
-	// ascending order. The default (false) visits them in a shuffled
-	// order, matching Galois's unordered worklist scheduling — which
-	// is what turns the CSR scan of an over-capacity graph into the
-	// random miss stream the paper measures.
-	SequentialOrder bool
 }
+
+const (
+	// prTolerance is the pagerank residual threshold (paper: 1e-6).
+	prTolerance = 1e-6
+	// maxRounds bounds iterative kernels against pathological inputs.
+	maxRounds = 1000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
@@ -63,14 +60,8 @@ func (c Config) withDefaults() Config {
 	if c.PRRounds <= 0 {
 		c.PRRounds = 10
 	}
-	if c.PRTolerance <= 0 {
-		c.PRTolerance = 1e-6
-	}
 	if c.KCoreK <= 0 {
 		c.KCoreK = 10
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 1000
 	}
 	return c
 }
@@ -87,11 +78,6 @@ type Result struct {
 	Output any
 	// Series is the per-round counter trace.
 	Series *perfcounter.Series
-}
-
-// DemandGB returns CPU-visible traffic in (scaled) decimal GB.
-func (r Result) DemandGB() float64 {
-	return float64(r.Delta.Demand()*mem.Line) / mem.GB
 }
 
 // runner carries shared per-kernel state.
@@ -146,18 +132,12 @@ func (r *runner) finish(kernel string, rounds int, output any) Result {
 	}
 }
 
-// forEachNode visits every node once, in worklist (shuffled) or
-// sequential order per the configuration.
+// forEachNode visits every node once in a deterministic shuffled order
+// that changes per round, the stand-in for Galois's unordered worklist
+// scheduling — which is what turns the CSR scan of an over-capacity
+// graph into the random miss stream the paper measures.
 func (r *runner) forEachNode(round int, fn func(u uint32)) {
 	n := uint64(r.g.NumNodes())
-	if r.cfg.SequentialOrder {
-		for u := uint64(0); u < n; u++ {
-			fn(uint32(u))
-		}
-		return
-	}
-	// Unordered-worklist stand-in: a deterministic shuffled order that
-	// changes per round.
 	if err := lfsr.Sequence(n, uint32(round)*2654435761+1, func(u uint64) {
 		fn(uint32(u))
 	}); err != nil {
@@ -246,7 +226,7 @@ func BFS(cfg Config, src uint32) (Result, error) {
 	frontier := []uint32{src}
 	level := uint32(0)
 	rounds := 0
-	for len(frontier) > 0 && rounds < r.cfg.MaxRounds {
+	for len(frontier) > 0 && rounds < maxRounds {
 		level++
 		rounds++
 		var next []uint32
@@ -284,7 +264,7 @@ func CC(cfg Config) (Result, error) {
 		labels[i] = uint32(i)
 	}
 	rounds := 0
-	for changed := true; changed && rounds < r.cfg.MaxRounds; {
+	for changed := true; changed && rounds < maxRounds; {
 		changed = false
 		rounds++
 		r.forEachNode(rounds, func(u uint32) {
@@ -342,7 +322,7 @@ func KCore(cfg Config) (Result, error) {
 	r.sys.Sync("kcore:init", 0)
 
 	rounds := 0
-	for len(worklist) > 0 && rounds < r.cfg.MaxRounds {
+	for len(worklist) > 0 && rounds < maxRounds {
 		rounds++
 		var next []uint32
 		for _, u := range worklist {
@@ -402,7 +382,7 @@ func PageRank(cfg Config) (Result, error) {
 	}
 	r.sys.Sync("pr:init", 0)
 
-	tol := float32(r.cfg.PRTolerance)
+	tol := float32(prTolerance)
 	rounds := 0
 	for ; rounds < r.cfg.PRRounds; rounds++ {
 		active := 0

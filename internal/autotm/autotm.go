@@ -41,8 +41,6 @@ type Config struct {
 	// DRAMBudget is the scaled DRAM pool available for tensors; 0
 	// selects 90% of the system's DRAM (leaving OS headroom).
 	DRAMBudget uint64
-	// Exec carries the compute-time model shared with 2LM execution.
-	Exec compiler.ExecConfig
 	// Mover selects an asynchronous copy engine for tensor movement —
 	// the paper's hardware/software co-design direction. Nil keeps the
 	// baseline AutoTM behavior: CPU cores moving data with loads and
@@ -117,7 +115,6 @@ func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error)
 	if cfg.DRAMBudget == 0 {
 		cfg.DRAMBudget = sys.Platform().DRAMSize() * 9 / 10
 	}
-	cfg.Exec = execDefaults(cfg.Exec)
 
 	nvramHome, err := sys.AddressSpace().AllocNVRAM(plan.HeapSize)
 	if err != nil {
@@ -148,7 +145,7 @@ func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error)
 		}
 	}
 
-	sys.SetThreads(cfg.Exec.Threads)
+	sys.SetThreads(threads)
 	sys.SetTraffic(mem.Sequential, mem.Line)
 	if cfg.Mover != nil {
 		sys.SetDMABandwidth(cfg.Mover.Bandwidth)
@@ -181,12 +178,9 @@ func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error)
 	}, nil
 }
 
-func execDefaults(c compiler.ExecConfig) compiler.ExecConfig {
-	if c.Threads <= 0 {
-		c.Threads = 24
-	}
-	return c
-}
+// threads is the modeled worker count of the compute-time model
+// shared with 2LM execution: all 24 physical cores of one socket.
+const threads = 24
 
 // dramRegion returns the pool region assigned to tensor t. Addresses
 // wrap within the pool: the 1LM model needs pool membership and
@@ -360,7 +354,7 @@ func (p *planner) run() error {
 		if ki >= p.plan.Prog.ForwardKernels {
 			phase = "bwd"
 		}
-		p.sys.Sync(phase+":"+k.Name, p.plan.KernelSeconds(ki, p.cfg.Exec))
+		p.sys.Sync(phase+":"+k.Name, p.plan.KernelSeconds(ki, compiler.ExecConfig{Threads: threads}))
 
 		// Retire dead tensors immediately: their space frees with no
 		// write-back.

@@ -354,7 +354,6 @@ func ExecuteStatic(plan *compiler.Plan, sys *core.System, static *StaticPlan, cf
 	if cfg.DRAMBudget == 0 {
 		cfg.DRAMBudget = sys.Platform().DRAMSize() * 9 / 10
 	}
-	cfg.Exec = execDefaults(cfg.Exec)
 	if peak := static.PeakResident(); peak > cfg.DRAMBudget {
 		return nil, fmt.Errorf("autotm: static plan peaks at %s, above the %s budget",
 			mem.FormatBytes(peak), mem.FormatBytes(cfg.DRAMBudget))
@@ -378,7 +377,7 @@ func ExecuteStatic(plan *compiler.Plan, sys *core.System, static *StaticPlan, cf
 		budget:    cfg.DRAMBudget,
 		state:     make([]residency, len(plan.Bytes)),
 	}
-	sys.SetThreads(cfg.Exec.Threads)
+	sys.SetThreads(threads)
 	sys.SetTraffic(mem.Sequential, mem.Line)
 	if cfg.Mover != nil {
 		sys.SetDMABandwidth(cfg.Mover.Bandwidth)
@@ -415,7 +414,7 @@ func ExecuteStatic(plan *compiler.Plan, sys *core.System, static *StaticPlan, cf
 		if ki >= plan.Prog.ForwardKernels {
 			phase = "bwd"
 		}
-		sys.Sync(phase+":"+k.Name, plan.KernelSeconds(ki, cfg.Exec))
+		sys.Sync(phase+":"+k.Name, plan.KernelSeconds(ki, compiler.ExecConfig{Threads: threads}))
 
 		// Stash producers whose value survives but whose next use is
 		// later; drop everything dead.

@@ -1,19 +1,21 @@
-// Package cache implements the metadata store of the 2LM direct-mapped
-// DRAM cache.
+// Package cache implements 64 B-granular tag stores: Assoc, the 2LM
+// DRAM cache, and DirectMapped, the on-chip LLC in front of it.
 //
 // The Cascade Lake DRAM cache is direct mapped at 64 B granularity with
 // tags stored in the spare ECC bits of each DRAM line (Intel patent
-// US 2017/0031821; the paper's Section IV). This package tracks, per
-// set, the resident tag, a valid bit, a dirty bit, and an "LLC owned"
-// bit used by the IMC's Dirty Data Optimization model. It implements
-// pure metadata bookkeeping; the traffic consequences of lookups and
-// fills are the IMC's business.
+// US 2017/0031821; the paper's Section IV). Assoc models it (Ways=1)
+// and its N-way ablations: per entry, the resident tag, a valid bit, a
+// dirty bit, and an "LLC owned" bit used by the IMC's Dirty Data
+// Optimization model. internal/core's LLC filter is a DirectMapped. The
+// package implements pure metadata bookkeeping; the traffic
+// consequences of lookups and fills are the IMC's and core's business.
 //
-// The metadata array is a single flat []uint64 with one packed word
-// per entry (tag in the high bits, flag bits in the low byte): eight
-// sets per 64 B host cache line, no per-set indirection, so a probe is
-// one load and the batched dispatch path in internal/imc can prefetch
-// a chunk's tag words at full memory concurrency before probing them.
+// Both stores keep a single flat []uint64 with one packed word per
+// entry (tag in the high bits, flag bits in the low byte): eight
+// entries per 64 B host cache line, no per-set indirection, so a probe
+// is one load and the batched dispatch path in internal/imc can
+// prefetch a chunk's tag words at full memory concurrency before
+// probing them.
 package cache
 
 import (
@@ -70,7 +72,9 @@ func (r LookupResult) String() string {
 }
 
 // DirectMapped is the metadata array of a direct-mapped, 64 B-granular
-// cache over a physical address space.
+// cache over a physical address space: the on-chip LLC internal/core
+// filters demand through. The DRAM cache is an Assoc, even when direct
+// mapped.
 type DirectMapped struct {
 	entries  []uint64
 	sets     uint64
@@ -165,9 +169,11 @@ func (c *DirectMapped) IsDirty(set uint64) bool {
 	return w&flagValid != 0 && w&flagDirty != 0
 }
 
-// SetLLCOwned marks the resident line as held (in E/M state) by the
-// on-chip cache hierarchy. The IMC model uses this for the Dirty Data
-// Optimization: a writeback of a line the LLC owns needs no tag check.
+// SetLLCOwned sets or clears the resident line's LLC-owned bit. The
+// IMC's Dirty Data Optimization keeps this bit on the DRAM cache's
+// Assoc entry words instead (EntryLLCOwned); nothing outside this
+// package's tests sets it here, where it is the reference the Assoc
+// equivalence tests compare the Ways=1 store against.
 func (c *DirectMapped) SetLLCOwned(set uint64, owned bool) {
 	if owned {
 		c.entries[set] |= flagLLCOwned

@@ -19,12 +19,6 @@ type ExecConfig struct {
 	// Threads is the modeled worker count (the paper assigns all 24
 	// physical cores of one socket).
 	Threads int
-	// PeakFLOPS is the machine peak in FLOP/s; 0 selects the Cascade
-	// Lake default.
-	PeakFLOPS float64
-	// ComputeEfficiency derates the peak for real kernels; 0 selects
-	// the default.
-	ComputeEfficiency float64
 	// WarmupIterations run before measurement to establish steady
 	// cache state ("two warm up iterations ... to prepare the state of
 	// the DRAM cache"). Statistics are reset afterwards.
@@ -43,12 +37,6 @@ func (c ExecConfig) withDefaults() ExecConfig {
 	if c.Threads <= 0 {
 		c.Threads = 24
 	}
-	if c.PeakFLOPS <= 0 {
-		c.PeakFLOPS = DefaultPeakFLOPS
-	}
-	if c.ComputeEfficiency <= 0 {
-		c.ComputeEfficiency = DefaultComputeEfficiency
-	}
 	return c
 }
 
@@ -61,7 +49,11 @@ func (p *Plan) KernelSeconds(k int, cfg ExecConfig) float64 {
 	if threadFrac > 1 {
 		threadFrac = 1
 	}
-	return flops / (cfg.PeakFLOPS * cfg.ComputeEfficiency * threadFrac)
+	// The peak is derated in float64 at run time: the exact constant
+	// product 1.65e12 differs from it in the last place, and every
+	// simulated clock derives from this quotient.
+	peak, eff := float64(DefaultPeakFLOPS), float64(DefaultComputeEfficiency)
+	return flops / (peak * eff * threadFrac)
 }
 
 // KernelInstructions estimates retired instructions for the MIPS trace:

@@ -73,8 +73,6 @@ type Config struct {
 	Platform platform.Config
 	// Mode selects 1LM or 2LM operation.
 	Mode Mode
-	// Model supplies bandwidths; nil selects the Cascade Lake model.
-	Model *bwmodel.Model
 	// LLCBytes overrides the unscaled LLC capacity; 0 selects LLCBytes.
 	LLCBytes uint64
 	// Policy overrides the 2LM controller policy; nil selects the
@@ -147,10 +145,7 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Platform.Validate(); err != nil {
 		return nil, err
 	}
-	model := cfg.Model
-	if model == nil {
-		model = bwmodel.NewCascadeLake(cfg.Platform.Sockets)
-	}
+	model := bwmodel.NewCascadeLake(cfg.Platform.Sockets)
 	dramMod, err := dram.New(cfg.Platform.Channels(), cfg.Platform.DRAMSize())
 	if err != nil {
 		return nil, err
@@ -601,7 +596,7 @@ func (s *System) SetTelemetry(sink telemetry.Sink, every uint64) {
 	s.tel.Attach(sink, every, s.Counters().Demand())
 }
 
-// Snapshot implements telemetry.Source: the system counters plus the
+// Snapshot returns the system counters as a telemetry sample, plus the
 // simulated clock and per-channel DRAM CAS counts. Media counters are
 // absent, as on the controller (see imc.Controller.Snapshot); use
 // NVRAM().Snapshot for media-granularity observation.

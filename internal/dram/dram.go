@@ -67,14 +67,6 @@ func (m *Module) Read(addr uint64) { m.channel(addr).CASReads++ }
 // Write records one 64 B CAS write at addr.
 func (m *Module) Write(addr uint64) { m.channel(addr).CASWrites++ }
 
-// LineChannel resolves the channel owning addr's line. The IMC issues
-// up to three CAS transactions to the same line per request (tag-check
-// read, fill write, data write); resolving the interleave mod once and
-// bumping the returned channel's counters directly is equivalent to
-// calling Read/Write per transaction, because the module totals are
-// derived from the channel counters.
-func (m *Module) LineChannel(addr uint64) *Channel { return m.channel(addr) }
-
 // ChannelIndex returns the interleave index of addr's line, for callers
 // walking consecutive lines that advance the index incrementally (the
 // index of line+1 is index+1 mod Channels).

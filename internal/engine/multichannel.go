@@ -154,11 +154,11 @@ func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
 		// The serial reference gets cfg.Channels DRAM channels, so its
 		// samples carry one CAS slot per split channel. The imc hook
 		// fires at range boundaries; one-line ranges sample per op.
-		serial, err := newController(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize(),
-			imc.WithTelemetry(telemetry.WithLabel(cfg.Telemetry, sc.name), sampleEvery))
+		serial, err := newController(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize())
 		if err != nil {
 			return nil, err
 		}
+		serial.SetTelemetry(telemetry.WithLabel(cfg.Telemetry, sc.name), sampleEvery)
 		for _, op := range sc.ops(plat.DRAMSize() / mem.Line) {
 			if op.Write {
 				serial.LLCWriteRange(op.Addr, 1)

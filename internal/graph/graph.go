@@ -221,12 +221,6 @@ type Layout struct {
 	Edges   mem.Region
 }
 
-// OffsetAddr returns the simulated address of Offsets[i].
-func (l Layout) OffsetAddr(i uint32) uint64 { return l.Offsets.Base + uint64(i)*4 }
-
-// EdgeAddr returns the simulated address of Edges[i].
-func (l Layout) EdgeAddr(i uint32) uint64 { return l.Edges.Base + uint64(i)*4 }
-
 // Place allocates the CSR arrays through alloc (which encodes the
 // placement policy: flat 2LM, NUMA-preferred, or pinned NVRAM).
 func (g *Graph) Place(alloc func(size uint64) (mem.Region, error)) (Layout, error) {

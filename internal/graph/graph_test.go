@@ -139,12 +139,6 @@ func TestPlaceAndAddrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.OffsetAddr(1) != l.Offsets.Base+4 {
-		t.Error("OffsetAddr arithmetic wrong")
-	}
-	if l.EdgeAddr(2) != l.Edges.Base+8 {
-		t.Error("EdgeAddr arithmetic wrong")
-	}
 	if l.Offsets.End() > l.Edges.Base {
 		t.Error("regions overlap")
 	}

@@ -244,9 +244,7 @@ func (c *Controller) locate(m *streamLocator, addr uint64) (set uint64, tag uint
 
 // config collects the optional construction parameters of New.
 type config struct {
-	policy      Policy
-	sink        telemetry.Sink
-	sampleEvery uint64
+	policy Policy
 }
 
 // Option configures optional behavior of New.
@@ -256,16 +254,6 @@ type Option func(*config)
 // ablation experiments.
 func WithPolicy(p Policy) Option {
 	return func(c *config) { c.policy = p }
-}
-
-// WithTelemetry attaches a telemetry sink sampled every `every` demand
-// lines at range boundaries (every == 0 samples at each range). A nil
-// sink leaves telemetry disabled.
-func WithTelemetry(sink telemetry.Sink, every uint64) Option {
-	return func(c *config) {
-		c.sink = sink
-		c.sampleEvery = every
-	}
 }
 
 // New assembles a controller over the given DRAM and NVRAM modules,
@@ -298,19 +286,19 @@ func New(dramMod *dram.Module, nvramMod *nvram.Module, opts ...Option) (*Control
 		nch:    dramMod.Channels(),
 	}
 	c.initScatter()
-	c.SetTelemetry(cfg.sink, cfg.sampleEvery)
 	return c, nil
 }
 
 // SetTelemetry attaches (or, with a nil sink, detaches) a telemetry
-// sink sampled every `every` demand lines. The next boundary is
+// sink sampled every `every` demand lines at range boundaries (every ==
+// 0 samples at each range). The next boundary is
 // computed from the current counters, so attaching mid-run starts a
 // fresh sampling phase.
 func (c *Controller) SetTelemetry(sink telemetry.Sink, every uint64) {
 	c.tel.Attach(sink, every, c.demand())
 }
 
-// Snapshot implements telemetry.Source: the controller counters plus
+// Snapshot returns the controller counters as a telemetry sample, plus
 // per-channel DRAM CAS counts. NVRAM media counters are deliberately
 // absent — media merging depends on how the address stream is
 // partitioned over combining buffers, which a serial controller and

@@ -44,21 +44,22 @@ func TestNewDefaultsToHardwarePolicy(t *testing.T) {
 	}
 }
 
-// TestWithTelemetryHook: a controller built with WithTelemetry records
-// samples at demand boundaries from the range entry points, and
-// FlushTelemetry captures the tail.
+// TestWithTelemetryHook: a controller with a sink attached by
+// SetTelemetry records samples at demand boundaries from the range
+// entry points, and FlushTelemetry captures the tail.
 func TestWithTelemetryHook(t *testing.T) {
 	d, nv := newTestModules(t)
 	rec := telemetry.NewRecorder()
-	c, err := New(d, nv, WithTelemetry(rec, 100))
+	c, err := New(d, nv)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetTelemetry(rec, 100)
 	c.LLCReadRange(0, 250)
 	if rec.Len() != 1 {
 		t.Fatalf("after one 250-line range: %d samples, want 1", rec.Len())
 	}
-	if got := rec.Last().Demand; got != 250 {
+	if got := last(rec).Demand; got != 250 {
 		t.Errorf("sample demand = %d, want 250 (boundary crossed mid-range records at the range end)", got)
 	}
 	c.LLCWriteRange(0, 49)
@@ -71,8 +72,8 @@ func TestWithTelemetryHook(t *testing.T) {
 	}
 	c.LLCReadRange(0, 7)
 	c.FlushTelemetry()
-	if rec.Len() != 3 || rec.Last().Demand != 307 {
-		t.Errorf("flush: len=%d last=%d, want 3 samples ending at 307", rec.Len(), rec.Last().Demand)
+	if rec.Len() != 3 || last(rec).Demand != 307 {
+		t.Errorf("flush: len=%d last=%d, want 3 samples ending at 307", rec.Len(), last(rec).Demand)
 	}
 	c.FlushTelemetry()
 	if rec.Len() != 3 {
@@ -82,8 +83,14 @@ func TestWithTelemetryHook(t *testing.T) {
 	c.FlushAll()
 	c.FlushTelemetry()
 	if rec.Len() != 3 {
-		t.Errorf("FlushAll writebacks advanced the demand clock: %d samples, last at %d", rec.Len(), rec.Last().Demand)
+		t.Errorf("FlushAll writebacks advanced the demand clock: %d samples, last at %d", rec.Len(), last(rec).Demand)
 	}
+}
+
+// last returns the most recent sample rec holds.
+func last(rec *telemetry.Recorder) telemetry.Sample {
+	s := rec.Samples()
+	return s[len(s)-1]
 }
 
 // TestSnapshotMatchesCounters: the telemetry sample mirrors the
@@ -122,10 +129,11 @@ func TestSnapshotMatchesCounters(t *testing.T) {
 func TestResetCountersRestartsSampling(t *testing.T) {
 	d, nv := newTestModules(t)
 	rec := telemetry.NewRecorder()
-	c, err := New(d, nv, WithTelemetry(rec, 100))
+	c, err := New(d, nv)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.SetTelemetry(rec, 100)
 	c.LLCReadRange(0, 150)
 	c.ResetCounters()
 	c.LLCReadRange(0, 50)
@@ -133,7 +141,7 @@ func TestResetCountersRestartsSampling(t *testing.T) {
 		t.Fatalf("sample count after reset = %d, want 1 (no boundary crossed yet)", rec.Len())
 	}
 	c.LLCReadRange(0, 50)
-	if rec.Len() != 2 || rec.Last().Demand != 100 {
-		t.Errorf("post-reset boundary: len=%d last=%d, want sample at demand 100", rec.Len(), rec.Last().Demand)
+	if rec.Len() != 2 || last(rec).Demand != 100 {
+		t.Errorf("post-reset boundary: len=%d last=%d, want sample at demand 100", rec.Len(), last(rec).Demand)
 	}
 }

@@ -12,7 +12,8 @@ import (
 // Normalized (a second application changes nothing) and survives
 // json.Marshal -> Decode both as decoded and in normalized form. The
 // seed corpus (testdata/fuzz/FuzzDecode) holds the committed quickstart
-// example and hand-made rejects.
+// example and hand-made rejects, among them the reject-cap-* geometries
+// TestDecodeRejectsHostileGeometry checks field by field.
 func FuzzDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(bytes.NewReader(data))

@@ -261,6 +261,29 @@ func (s Spec) Normalized() Spec {
 // and every committed example; a larger study is several jobs.
 const MaxPoints = 65536
 
+// Caps on the geometry a job may name. A job builds one controller per
+// geometry class, and each allocates per DRAM channel, per NVRAM DIMM
+// and 16 B of tag store per cache line, so these bound what one small
+// document can make a host allocate. Each sits far above every
+// committed example, test and benchmark job: sweep_default.json, the
+// largest grid, has at most 6 channels, 1 DIMM, ratio 8, and 84 MiB of
+// cache summed over its 144 classes.
+const (
+	// maxChannels bounds each DRAM channel count.
+	maxChannels = 64
+	// maxDIMMs bounds each NVRAM DIMM count.
+	maxDIMMs = 64
+	// maxRatio bounds each NVRAM:DRAM capacity ratio, which keeps
+	// cache bytes x ratio far from wrapping.
+	maxRatio = 256
+	// maxCacheBytes bounds the simulated DRAM-cache bytes summed over
+	// a job's geometry classes (256 MiB of tag store). Checking KiB
+	// against maxCacheBytes/1024 before multiplying keeps the
+	// KiB-to-bytes conversion from wrapping.
+	maxCacheBytes = 1 << 30
+	maxCacheKiB   = maxCacheBytes / 1024
+)
+
 // Points returns how many points the normalized axes expand to,
 // counted the way internal/sweep expands them: the product of the
 // axis lengths, except that seed-independent patterns expand once
@@ -364,19 +387,38 @@ func ValidPolicy(name string) bool {
 // checkGeometry validates one resolved geometry combination — the
 // shared rule for the point form, each grid cell, and sweep expansion.
 func checkGeometry(e *Errors, prefix string, cacheKiB uint64, ways, channels, dimms int) {
-	if cacheKiB == 0 {
+	switch {
+	case cacheKiB == 0:
 		e.add(prefix+".cache_kib", "cache capacity is required and must be positive")
+	case cacheKiB > maxCacheKiB:
+		e.add(prefix+".cache_kib", "%d KiB exceeds the %d KiB a job may simulate", cacheKiB, maxCacheKiB)
 	}
 	if ways < 1 {
 		e.add(prefix+".ways", "associativity %d must be >= 1", ways)
-	} else if cacheKiB != 0 && (cacheKiB*1024)%(mem.Line*uint64(ways)) != 0 {
+	} else if cacheKiB != 0 && cacheKiB <= maxCacheKiB && (cacheKiB*1024)%(mem.Line*uint64(ways)) != 0 {
 		e.add(prefix+".cache_kib", "%d KiB is not a multiple of %d ways x %d B lines", cacheKiB, ways, mem.Line)
 	}
-	if channels < 1 {
-		e.add(prefix+".channels", "channel count %d must be >= 1", channels)
+	checkCount(e, prefix+".channels", "channel", channels, maxChannels)
+	checkCount(e, prefix+".dimms", "dimm", dimms, maxDIMMs)
+}
+
+// checkCount validates one channel or DIMM count against [1, max].
+func checkCount(e *Errors, field, what string, n, max int) {
+	switch {
+	case n < 1:
+		e.add(field, "%s count %d must be >= 1", what, n)
+	case n > max:
+		e.add(field, "%s count %d exceeds the maximum of %d", what, n, max)
 	}
-	if dimms < 1 {
-		e.add(prefix+".dimms", "dimm count %d must be >= 1", dimms)
+}
+
+// checkRatio validates one NVRAM:DRAM capacity ratio against [1, maxRatio].
+func checkRatio(e *Errors, field string, r uint64) {
+	switch {
+	case r < 1:
+		e.add(field, "ratio %d must be >= 1", r)
+	case r > maxRatio:
+		e.add(field, "ratio %d exceeds the maximum of %d", r, maxRatio)
 	}
 }
 
@@ -421,6 +463,7 @@ func (s Spec) Validate() error {
 		if w.Passes < 1 {
 			e.add("workload.passes", "passes %d must be >= 1", w.Passes)
 		}
+		checkRatio(e, "workload.ratio", w.Ratio)
 	}
 	if a := n.Sweep; a != nil && s.Geometry == nil {
 		validateAxes(e, a)
@@ -445,9 +488,15 @@ func validateAxes(e *Errors, a *Axes) {
 	if len(a.CacheKiB) == 0 {
 		e.add("sweep.cache_kib", "the cache-capacity axis is required and must be non-empty")
 	}
+	oversized := false
 	for i, kib := range a.CacheKiB {
 		if kib == 0 {
 			e.add(fmt.Sprintf("sweep.cache_kib[%d]", i), "cache capacity must be positive")
+			continue
+		}
+		if kib > maxCacheKiB {
+			e.add(fmt.Sprintf("sweep.cache_kib[%d]", i), "%d KiB exceeds the %d KiB a job may simulate", kib, maxCacheKiB)
+			oversized = true
 			continue
 		}
 		for j, ways := range a.Ways {
@@ -469,19 +518,13 @@ func validateAxes(e *Errors, a *Axes) {
 		}
 	}
 	for i, c := range a.Channels {
-		if c < 1 {
-			e.add(fmt.Sprintf("sweep.channels[%d]", i), "channel count %d must be >= 1", c)
-		}
+		checkCount(e, fmt.Sprintf("sweep.channels[%d]", i), "channel", c, maxChannels)
 	}
 	for i, d := range a.DIMMs {
-		if d < 1 {
-			e.add(fmt.Sprintf("sweep.dimms[%d]", i), "dimm count %d must be >= 1", d)
-		}
+		checkCount(e, fmt.Sprintf("sweep.dimms[%d]", i), "dimm", d, maxDIMMs)
 	}
 	for i, r := range a.Ratios {
-		if r < 1 {
-			e.add(fmt.Sprintf("sweep.ratios[%d]", i), "ratio %d must be >= 1", r)
-		}
+		checkRatio(e, fmt.Sprintf("sweep.ratios[%d]", i), r)
 	}
 	for i, p := range a.Patterns {
 		if !ValidPattern(p) {
@@ -492,9 +535,35 @@ func validateAxes(e *Errors, a *Axes) {
 	if a.Passes < 1 {
 		e.add("sweep.passes", "passes %d must be >= 1", a.Passes)
 	}
+	// An oversized element or an over-cap point count already rejects
+	// the grid with the same remedy, so the class total is checked only
+	// when neither does.
 	if a.Points() > MaxPoints {
 		e.add("sweep", "the axes expand to more than %d points; split the grid into smaller jobs", MaxPoints)
+	} else if !oversized && !a.cacheFits() {
+		e.add("sweep.cache_kib", "the grid's geometry classes total more than the %d KiB of cache a job may simulate; split the grid into smaller jobs", maxCacheKiB)
 	}
+}
+
+// cacheFits reports whether the cache capacity summed over every
+// geometry class the axes name (each cache size crossed with every
+// ways, policy, channel, DIMM and ratio value) stays within
+// maxCacheKiB. Every element is at most maxCacheKiB, so the sum cannot
+// wrap, and each factor is checked before it multiplies.
+func (a Axes) cacheFits() bool {
+	var total uint64
+	for _, kib := range a.CacheKiB {
+		if total += kib; total > maxCacheKiB {
+			return false
+		}
+	}
+	for _, f := range []int{len(a.Ways), len(a.Policies), len(a.Channels), len(a.DIMMs), len(a.Ratios)} {
+		if f > 0 && total > maxCacheKiB/uint64(f) {
+			return false
+		}
+		total *= uint64(f)
+	}
+	return true
 }
 
 // WantsFormat reports whether the normalized telemetry section asks

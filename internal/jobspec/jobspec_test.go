@@ -2,6 +2,8 @@ package jobspec
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -312,4 +314,65 @@ func assertCapViolation(t *testing.T, err error) {
 		}
 	}
 	t.Errorf("no sweep-field cap violation in %v", verrs.Violations)
+}
+
+// hostileGeometries names each reject-cap-* document of the FuzzDecode
+// seed corpus and the one field its violation must name. Each document
+// is a few dozen bytes that, accepted, would make a host allocate
+// gigabytes or wrap a capacity product.
+var hostileGeometries = []struct{ name, field string }{
+	{"reject-cap-cache-kib", "geometry.cache_kib"},
+	{"reject-cap-cache-kib-wrap", "geometry.cache_kib"},
+	{"reject-cap-channels", "geometry.channels"},
+	{"reject-cap-dimms", "geometry.dimms"},
+	{"reject-cap-ratio", "workload.ratio"},
+	{"reject-cap-sweep-cache-kib", "sweep.cache_kib[1]"},
+	{"reject-cap-sweep-channels", "sweep.channels[0]"},
+	{"reject-cap-sweep-dimms", "sweep.dimms[0]"},
+	{"reject-cap-sweep-ratios", "sweep.ratios[0]"},
+	{"reject-cap-sweep-classes", "sweep.cache_kib"},
+}
+
+// corpusDoc reads one FuzzDecode seed-corpus entry.
+func corpusDoc(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, lit, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+	doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return doc
+}
+
+// TestDecodeRejectsHostileGeometry: each hostile document is rejected
+// with exactly one violation, on the field that carries the hostile
+// value, and the same geometry at each cap is accepted.
+func TestDecodeRejectsHostileGeometry(t *testing.T) {
+	for _, h := range hostileGeometries {
+		t.Run(h.name, func(t *testing.T) {
+			_, err := Decode(strings.NewReader(corpusDoc(t, h.name)))
+			var verrs *Errors
+			if !errors.As(err, &verrs) {
+				t.Fatalf("err = %v, want *Errors", err)
+			}
+			if len(verrs.Violations) != 1 || verrs.Violations[0].Field != h.field {
+				t.Errorf("violations = %v, want exactly one on %s", verrs.Violations, h.field)
+			}
+		})
+	}
+	atCap := Spec{Version: 1,
+		Geometry: &Geometry{CacheKiB: maxCacheKiB, Channels: maxChannels, DIMMs: maxDIMMs},
+		Workload: &Workload{Ratio: maxRatio}}
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("point at every cap rejected: %v", err)
+	}
+	grid := Spec{Version: 1, Sweep: &Axes{CacheKiB: []uint64{maxCacheKiB / 2}, Ways: []int{1, 2},
+		Channels: []int{maxChannels}, DIMMs: []int{maxDIMMs}, Ratios: []uint64{maxRatio}}}
+	if err := grid.Validate(); err != nil {
+		t.Errorf("grid whose classes total exactly the cap rejected: %v", err)
+	}
 }

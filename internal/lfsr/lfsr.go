@@ -55,62 +55,6 @@ const (
 	MaxWidth = 32
 )
 
-// LFSR is a maximum-length Galois LFSR over a fixed width. The zero
-// value is not usable; construct with New.
-type LFSR struct {
-	state uint32
-	mask  uint32
-	width uint
-}
-
-// New returns an LFSR of the given width (2..32) seeded with seed.
-// The seed is folded into the register's nonzero state space.
-func New(width uint, seed uint32) (*LFSR, error) {
-	if width < MinWidth || width > MaxWidth {
-		return nil, fmt.Errorf("lfsr: width %d out of range [%d, %d]", width, MinWidth, MaxWidth)
-	}
-	l := &LFSR{mask: taps[width], width: width}
-	l.Seed(seed)
-	return l, nil
-}
-
-// Seed resets the register state derived from seed; state zero (the
-// LFSR's fixed point) is avoided.
-func (l *LFSR) Seed(seed uint32) {
-	s := seed
-	if l.width < 32 {
-		s &= (1 << l.width) - 1
-	}
-	if s == 0 {
-		s = 1
-	}
-	l.state = s
-}
-
-// Width returns the register width in bits.
-func (l *LFSR) Width() uint { return l.width }
-
-// State returns the current register contents.
-func (l *LFSR) State() uint32 { return l.state }
-
-// Next advances the register one step and returns the new state. The
-// returned values cycle through every nonzero width-bit value exactly
-// once per period.
-func (l *LFSR) Next() uint32 {
-	// Branchless Galois step: the feedback mask is applied under an
-	// all-ones or all-zeros mask derived from the output bit. The output
-	// bit of a maximum-length register is an even coin flip, so a branch
-	// here would mispredict every other step.
-	s := l.state
-	l.state = (s >> 1) ^ (l.mask & -(s & 1))
-	return l.state
-}
-
-// Period returns the sequence period, 2^width - 1.
-func (l *LFSR) Period() uint64 {
-	return (uint64(1) << l.width) - 1
-}
-
 // WidthFor returns the smallest supported register width whose period
 // covers at least n values, i.e. 2^w - 1 >= n.
 func WidthFor(n uint64) (uint, error) {
@@ -230,9 +174,8 @@ func (s *Stream) stallError() error {
 // choice of width). Index 0, which the LFSR cannot produce, is visited
 // first.
 //
-// The register lives in locals rather than behind a *LFSR so the call
-// is allocation free — the random-path benchmarks assert 0 allocs/op
-// through here.
+// The register lives in locals, so the call is allocation free — the
+// random-path benchmarks assert 0 allocs/op through here.
 func Sequence(n uint64, seed uint32, fn func(idx uint64)) error {
 	if n == 0 {
 		return nil

@@ -5,74 +5,87 @@ import (
 	"testing/quick"
 )
 
+// step is one Galois step of a width-w register with the taps table's
+// feedback mask, the update Sequence and Stream inline.
+func step(state uint32, w uint) uint32 {
+	return (state >> 1) ^ (taps[w] & -(state & 1))
+}
+
 // TestMaximumLength verifies that every supported width produces a
 // maximum-length sequence: period 2^w - 1 with no repeated states.
 func TestMaximumLength(t *testing.T) {
 	for w := uint(MinWidth); w <= 20; w++ { // exhaustive up to 2^20
-		l, err := New(w, 1)
-		if err != nil {
-			t.Fatalf("New(%d): %v", w, err)
-		}
-		period := l.Period()
+		period := (uint64(1) << w) - 1
 		seen := make([]bool, period+1)
+		state := uint32(1)
 		for i := uint64(0); i < period; i++ {
-			v := l.Next()
-			if v == 0 {
+			state = step(state, w)
+			if state == 0 {
 				t.Fatalf("width %d: state reached 0 at step %d", w, i)
 			}
-			if uint64(v) > period {
-				t.Fatalf("width %d: state %d out of range", w, v)
+			if uint64(state) > period {
+				t.Fatalf("width %d: state %d out of range", w, state)
 			}
-			if seen[v] {
-				t.Fatalf("width %d: state %d repeated before period at step %d", w, v, i)
+			if seen[state] {
+				t.Fatalf("width %d: state %d repeated before period at step %d", w, state, i)
 			}
-			seen[v] = true
+			seen[state] = true
 		}
-		if l.State() != 1 {
+		if state != 1 {
 			// After exactly one period the register returns to its seed.
-			t.Fatalf("width %d: state after full period = %d, want seed 1", w, l.State())
+			t.Fatalf("width %d: state after full period = %d, want seed 1", w, state)
 		}
 	}
 }
 
-// TestLargerWidthsCycleBack spot-checks that wide registers return to
-// the seed only after visiting many distinct states (we cannot afford
-// the full 2^32 period, so check a prefix for collisions).
+// TestLargerWidthsNoEarlyRepeat spot-checks that wide registers return
+// to the seed only after visiting many distinct states (we cannot
+// afford the full 2^32 period, so check a prefix for collisions).
 func TestLargerWidthsNoEarlyRepeat(t *testing.T) {
 	for _, w := range []uint{24, 28, 32} {
-		l, err := New(w, 12345)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := l.State()
+		seed := uint32(12345)
+		state := seed
 		const steps = 1 << 16
 		for i := 0; i < steps; i++ {
-			if l.Next() == seed {
+			if state = step(state, w); state == seed {
 				t.Fatalf("width %d: returned to seed after only %d steps", w, i+1)
 			}
 		}
 	}
 }
 
+// TestNewRejectsBadWidth: an n whose register would be wider than
+// MaxWidth is an error from both generators, not a short sequence.
 func TestNewRejectsBadWidth(t *testing.T) {
-	for _, w := range []uint{0, 1, 33, 64} {
-		if _, err := New(w, 1); err == nil {
-			t.Errorf("New(%d) accepted an out-of-range width", w)
-		}
+	const n = uint64(1) << 40
+	if _, err := NewStream(n, 1); err == nil {
+		t.Error("NewStream accepted an n beyond the widest register")
+	}
+	if err := Sequence(n, 1, func(uint64) {}); err == nil {
+		t.Error("Sequence accepted an n beyond the widest register")
 	}
 }
 
+// TestSeedAvoidsZero: a seed of 0, or one whose low width bits are all
+// 0, must not leave the register in its fixed point. n = 200 needs an
+// 8-bit register, so 256 masks to 0.
 func TestSeedAvoidsZero(t *testing.T) {
-	l, err := New(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l.State() == 0 {
-		t.Fatal("seed 0 left the register in its fixed point")
-	}
-	l.Seed(256) // 256 & 0xff == 0
-	if l.State() == 0 {
-		t.Fatal("masked seed left the register at 0")
+	const n = 200
+	for _, seed := range []uint32{0, 256} {
+		st, err := NewStream(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.state == 0 {
+			t.Fatalf("NewStream seed %d left the register at 0", seed)
+		}
+		visited := uint64(0)
+		if err := Sequence(n, seed, func(uint64) { visited++ }); err != nil {
+			t.Fatalf("Sequence seed %d: %v", seed, err)
+		}
+		if visited != n {
+			t.Fatalf("Sequence seed %d visited %d of %d indices", seed, visited, n)
+		}
 	}
 }
 
@@ -164,14 +177,6 @@ func TestSequenceNotSequential(t *testing.T) {
 	}
 	if ascending > len(order)/10 {
 		t.Fatalf("order looks sequential: %d/%d ascending steps", ascending, len(order))
-	}
-}
-
-func BenchmarkNext(b *testing.B) {
-	l, _ := New(32, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		l.Next()
 	}
 }
 

@@ -134,9 +134,3 @@ func FormatBytes(n uint64) string {
 		return fmt.Sprintf("%d B", n)
 	}
 }
-
-// FormatGB renders a byte count in decimal gigabytes, the unit the
-// paper's tables use.
-func FormatGB(n uint64) string {
-	return fmt.Sprintf("%.1f GB", float64(n)/GB)
-}

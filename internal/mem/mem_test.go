@@ -109,12 +109,6 @@ func TestFormatBytes(t *testing.T) {
 	}
 }
 
-func TestFormatGB(t *testing.T) {
-	if got := FormatGB(1500000000); got != "1.5 GB" {
-		t.Errorf("FormatGB = %q, want 1.5 GB", got)
-	}
-}
-
 func TestLineShiftConsistent(t *testing.T) {
 	if 1<<LineShift != Line {
 		t.Fatalf("LineShift %d inconsistent with Line %d", LineShift, Line)

@@ -120,33 +120,6 @@ func ResNet(batch int, stages []int) (*Program, error) {
 	return b.Train(logits)
 }
 
-// VGG16 builds a training program for VGG-16 (Simonyan & Zisserman,
-// cited alongside the paper's three main networks as a representative
-// large CNN). Its nearly-flat activation profile makes it a useful
-// contrast to DenseNet's concat-driven footprint growth.
-func VGG16(batch int) (*Program, error) {
-	b := NewBuilder("vgg-16", batch)
-	x := b.Input(224, 224, 3)
-	block := func(x, convs, channels int) int {
-		for i := 0; i < convs; i++ {
-			x = b.Conv(x, 3, 1, 1, channels)
-			x = b.ReLU(x)
-		}
-		return b.MaxPool(x, 2, 2, 0)
-	}
-	x = block(x, 2, 64)
-	x = block(x, 2, 128)
-	x = block(x, 3, 256)
-	x = block(x, 3, 512)
-	x = block(x, 3, 512)
-	x = b.FC(x, 4096)
-	x = b.ReLU(x)
-	x = b.FC(x, 4096)
-	x = b.ReLU(x)
-	logits := b.FC(x, 1000)
-	return b.Train(logits)
-}
-
 // InceptionV4 builds a training program for Inception-v4 (stem, 4x
 // Inception-A, Reduction-A, 7x Inception-B, Reduction-B, 3x
 // Inception-C) at the given batch size over 299x299x3 inputs.

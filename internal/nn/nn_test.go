@@ -237,27 +237,6 @@ func TestInceptionV4Structure(t *testing.T) {
 	}
 }
 
-func TestVGG16Structure(t *testing.T) {
-	p, err := VGG16(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// VGG-16 is famously parameter-heavy: ~138M.
-	params := p.WeightBytes() / 4
-	if params < 120e6 || params > 150e6 {
-		t.Errorf("VGG-16 parameters = %dM, want ~138M", params/1e6)
-	}
-	convs := 0
-	for _, k := range p.Kernels[:p.ForwardKernels] {
-		if strings.HasPrefix(k.Name, "Conv3x3") {
-			convs++
-		}
-	}
-	if convs != 13 {
-		t.Errorf("3x3 convolutions = %d, want 13", convs)
-	}
-}
-
 // TestNetworksBatchFLOPs: training FLOPs per image should be ~3x the
 // published forward FLOPs (~6 GF DenseNet-264, ~15 GF ResNet-200).
 func TestNetworksBatchFLOPs(t *testing.T) {

@@ -455,8 +455,8 @@ func (m *Module) WriteAmplification() float64 {
 	return float64(media*MediaBlock) / float64(iface*mem.Line)
 }
 
-// Snapshot implements telemetry.Source with the module's aggregate
-// interface and media counters. This is the one telemetry source that
+// Snapshot returns the module's aggregate interface and media counters
+// as a telemetry sample. This is the one telemetry producer that
 // carries media-block counts: merging depends on how the address
 // stream is partitioned over the combining buffers, so media counters
 // are meaningful per module but are excluded from controller samples,

@@ -26,11 +26,24 @@ const batchLines = 2048
 // so an acquired rig is always observationally identical to a fresh
 // one.
 type rig struct {
-	id   classID
-	ctrl *imc.Controller
-	idx  [batchLines]uint32
-	reqs [batchLines]imc.Req
+	id       classID
+	tagBytes uint64 // the controller's tag-store footprint
+	ctrl     *imc.Controller
+	idx      [batchLines]uint32
+	reqs     [batchLines]imc.Req
 }
+
+// tagBytesPerLine is cache.Assoc's footprint per cache line: one packed
+// entry word and one LRU stamp.
+const tagBytesPerLine = 16
+
+// maxRetainedTagBytes bounds the tag-store bytes an Arena keeps in its
+// free lists; a release past it drops the rig for the GC. One arena
+// serves cmd/simd for its whole life, so without a bound every distinct
+// geometry it ever ran would stay resident. sweep_default.json retains
+// 21 MiB per worker and perfbench's simd-open traffic under 1 MiB, so
+// neither ever reaches it.
+const maxRetainedTagBytes = 128 << 20
 
 // Arena is the sync.Pool-style controller store behind job execution:
 // free rigs keyed by exact geometry class identity. Unlike sync.Pool
@@ -44,8 +57,9 @@ type rig struct {
 // cmd/simd hands every admitted job the same fleet-wide pool, and
 // jobs repeating a popular geometry skip construction entirely.
 type Arena struct {
-	mu   sync.Mutex
-	free map[classID][]*rig
+	mu       sync.Mutex
+	free     map[classID][]*rig
+	retained uint64 // tag-store bytes held in free, at most maxRetainedTagBytes
 }
 
 // NewArena returns an empty controller pool.
@@ -60,6 +74,7 @@ func (a *Arena) acquire(g *Geometry, fresh bool) (*rig, error) {
 		if rigs := a.free[g.id]; len(rigs) > 0 {
 			rg := rigs[len(rigs)-1]
 			a.free[g.id] = rigs[:len(rigs)-1]
+			a.retained -= rg.tagBytes
 			a.mu.Unlock()
 			return rg, nil
 		}
@@ -71,11 +86,23 @@ func (a *Arena) acquire(g *Geometry, fresh bool) (*rig, error) {
 // release resets the rig and returns it to the class's free list —
 // including rigs whose job was cancelled mid-pass, which is why the
 // Reset here (not in acquire) is load-bearing: a rig re-enters the
-// arena only in the as-constructed state. In fresh mode the rig is
+// arena only in the as-constructed state. In fresh mode, or when
+// keeping it would take the arena past maxRetainedTagBytes, the rig is
 // dropped for the GC to reclaim, like the naive one-controller-per-job
-// runner this mode reproduces.
+// runner fresh mode reproduces.
 func (a *Arena) release(rg *rig, fresh bool) {
 	if fresh {
+		return
+	}
+	// Reserve the rig's bytes first, so a rig that will be dropped is
+	// not Reset for nothing.
+	a.mu.Lock()
+	keep := a.retained+rg.tagBytes <= maxRetainedTagBytes
+	if keep {
+		a.retained += rg.tagBytes
+	}
+	a.mu.Unlock()
+	if !keep {
 		return
 	}
 	rg.ctrl.Reset()
@@ -103,7 +130,7 @@ func buildRig(g *Geometry) (*rig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
-	return &rig{id: g.id, ctrl: ctrl}, nil
+	return &rig{id: g.id, tagBytes: ctrl.Cache.Lines() * tagBytesPerLine, ctrl: ctrl}, nil
 }
 
 // Runner executes an expanded sweep on the engine worker pool. Build

@@ -327,6 +327,39 @@ func TestRunJobSharedArena(t *testing.T) {
 	}
 }
 
+// TestArenaRetainedBytesBounded: one arena serving jobs of more
+// distinct geometry classes than maxRetainedTagBytes holds keeps the
+// first classes that fit, drops the rest, and never retains more than
+// the bound.
+func TestArenaRetainedBytesBounded(t *testing.T) {
+	const perBound = 8 // classes of this size fill the bound exactly
+	cacheBytes := uint64(maxRetainedTagBytes) / perBound / tagBytesPerLine * mem.Line
+	pool := NewArena()
+	for ratio := uint64(1); ratio <= perBound+2; ratio++ {
+		job := jobspec.Spec{
+			Version:  jobspec.Version,
+			Geometry: &jobspec.Geometry{CacheKiB: cacheBytes / 1024},
+			Workload: &jobspec.Workload{Pattern: jobspec.PatternSequential, Ratio: ratio, Scale: 1 << 20},
+		}
+		if _, err := RunJob(context.Background(), job, 1, pool); err != nil {
+			t.Fatal(err)
+		}
+		var held uint64
+		for _, rigs := range pool.free {
+			for _, rg := range rigs {
+				held += rg.tagBytes
+			}
+		}
+		if held != pool.retained || held > maxRetainedTagBytes {
+			t.Fatalf("after ratio %d: free lists hold %d B, arena counts %d B, bound %d B",
+				ratio, held, pool.retained, maxRetainedTagBytes)
+		}
+	}
+	if len(pool.free) != perBound {
+		t.Errorf("arena keeps %d classes, want the %d that fit", len(pool.free), perBound)
+	}
+}
+
 // TestRunJobTrace: a single-point job with telemetry.sample_lines
 // yields deterministic trace artifacts alongside the result table.
 func TestRunJobTrace(t *testing.T) {

@@ -38,30 +38,6 @@ func (r *Recorder) Samples() []Sample { return r.samples }
 // Len returns the number of recorded samples.
 func (r *Recorder) Len() int { return len(r.samples) }
 
-// Reset drops all recorded samples.
-func (r *Recorder) Reset() { r.samples = nil }
-
-// Last returns the most recent sample, or a zero sample if empty.
-func (r *Recorder) Last() Sample {
-	if len(r.samples) == 0 {
-		return Sample{}
-	}
-	return r.samples[len(r.samples)-1]
-}
-
-// Deltas returns the interval-delta form of the series: element i is
-// sample i minus sample i-1 (the first delta is against zero). This
-// is the shape bandwidth traces plot.
-func (r *Recorder) Deltas() []Sample {
-	out := make([]Sample, len(r.samples))
-	var prev Sample
-	for i, s := range r.samples {
-		out[i] = s.Sub(prev)
-		prev = s
-	}
-	return out
-}
-
 // header returns the CSV column names: the fixed counter columns
 // followed by one reads/writes pair per channel (nch is the widest
 // channel slice in the series).

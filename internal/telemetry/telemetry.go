@@ -1,7 +1,6 @@
 // Package telemetry is the unified instrumentation surface of the
-// simulator: one Sample shape for every counter producer, one Source
-// interface for snapshotting them, and one Sink interface for
-// consuming deterministic counter time-series.
+// simulator: one Sample shape for every counter producer and one Sink
+// interface for consuming deterministic counter time-series.
 //
 // The paper's core evidence is time-series uncore-counter traces
 // (Figures 5-9: DRAM and NVRAM bandwidth over the run, not just
@@ -11,9 +10,9 @@
 // results.Table — each with its own sampling and serialization
 // conventions. telemetry replaces that scatter with a single seam:
 //
-//   - Source is implemented by imc.Controller, core.System and
-//     nvram.Module; a Snapshot is cheap and always consistent because
-//     every producer is single-writer.
+//   - imc.Controller, core.System and nvram.Module each return their
+//     counters as a Sample from a Snapshot method; a Snapshot is cheap
+//     and always consistent because every producer is single-writer.
 //   - Sink has three shipped implementations: Recorder (deterministic
 //     in-memory time series with CSV/JSON writers), TraceSink (the
 //     Figure 5-9-style artifact writer), and Prom (Prometheus text
@@ -76,13 +75,6 @@ type Sample struct {
 	// stream merge differently.
 	MediaReads  uint64 `json:"media_reads,omitempty"`
 	MediaWrites uint64 `json:"media_writes,omitempty"`
-}
-
-// Source is a counter producer that can be snapshotted at any point
-// between operations. Implementations are single-writer: a Snapshot
-// taken from the owning goroutine is always consistent.
-type Source interface {
-	Snapshot() Sample
 }
 
 // Sink consumes cumulative samples. Record must be cheap; sinks that

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -186,23 +187,25 @@ func TestNextBoundary(t *testing.T) {
 	}
 }
 
-func TestRecorderDeltasAndLast(t *testing.T) {
+// TestRecorderCSVDeltas: the CSV's d_demand column is each sample
+// minus the one before it, the first against zero.
+func TestRecorderCSVDeltas(t *testing.T) {
 	r := NewRecorder()
-	if last := r.Last(); last.Demand != 0 || last.DRAMRead != 0 {
-		t.Fatal("empty recorder Last should be zero")
-	}
 	r.Record(sampleAt(100))
 	r.Record(sampleAt(300))
-	d := r.Deltas()
-	if len(d) != 2 || d[0].Demand != 100 || d[1].Demand != 200 {
-		t.Fatalf("unexpected deltas: %+v", d)
+	var buf bytes.Buffer
+	if err := r.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if r.Last().Demand != 300 {
-		t.Fatalf("Last = %+v", r.Last())
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	col := slices.Index(strings.Split(lines[0], ","), "d_demand")
+	if len(lines) != 3 || col < 0 {
+		t.Fatalf("unexpected CSV:\n%s", buf.String())
 	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("Reset should drop samples")
+	for i, want := range []string{"100", "200"} {
+		if got := strings.Split(lines[i+1], ",")[col]; got != want {
+			t.Errorf("row %d d_demand = %s, want %s", i, got, want)
+		}
 	}
 }
 

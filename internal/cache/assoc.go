@@ -21,15 +21,16 @@ import (
 //
 // Like DirectMapped, the tag array is a single flat []uint64 of packed
 // entry words (the ways of a set adjacent), so the Ways==1 hot path is
-// one load per probe and bucketed dispatch sweeps it sequentially. LRU
-// stamps live in a parallel slice that the Ways==1 path never touches.
+// one load per probe and bucketed dispatch sweeps it sequentially.
+// Each set keeps its ways in recency order, most recent first, with the
+// valid ways as a prefix: the order is the LRU state, so one packed
+// word per line is the whole store, and the same access sequence
+// leaves the same words in the same slots.
 //
 // Entries are addressed by opaque handles returned from Probe; a
-// handle stays valid until the next Probe of the same set.
+// handle stays valid until the next probe or install in its set.
 type Assoc struct {
 	entries  []uint64
-	stamps   []uint64
-	clock    uint64
 	sets     uint64
 	setsDiv  fastdiv.Divisor
 	ways     uint64
@@ -51,7 +52,6 @@ func NewAssoc(capacity uint64, ways int) (*Assoc, error) {
 	sets := lines / uint64(ways)
 	return &Assoc{
 		entries:  make([]uint64, lines),
-		stamps:   make([]uint64, lines),
 		sets:     sets,
 		setsDiv:  fastdiv.New(sets),
 		ways:     uint64(ways),
@@ -89,24 +89,28 @@ func (c *Assoc) Index(addr uint64) (set uint64, tag uint32) {
 	return c.index(addr)
 }
 
-// Probe performs a tag check for addr. On a hit, the returned handle
-// identifies the resident entry (its LRU stamp is refreshed). On a
-// miss, the handle identifies the replacement victim — an invalid way
-// if one exists (MissClean), otherwise the least recently used way
+// Probe performs a tag check for addr. On a hit, the resident entry
+// becomes the set's most recent and the returned handle identifies it.
+// On a miss, the handle identifies the replacement victim — an invalid
+// way if one exists (MissClean), otherwise the least recently used way
 // (MissClean or MissDirty by its state).
 //
 // Ways==1 — the hardware configuration every headline experiment runs —
 // takes a specialized path: the single way is the hit candidate and the
-// victim at once, and the LRU stamp clock is never consulted for victim
-// choice, so the way loop and the stamp refresh are skipped entirely.
-// Results and victim selection are identical to the generic path (the
-// direct-mapped equivalence test pins this).
+// victim at once, and the handle is the set. Results and victim
+// selection are identical to the generic path (the direct-mapped
+// equivalence test pins this).
 func (c *Assoc) Probe(addr uint64) (handle uint64, res LookupResult) {
 	set, tag := c.index(addr)
 	return c.ProbeAt(set, tag)
 }
 
 // ProbeAt is Probe for a (set, tag) pair previously derived from Index.
+//
+// With Ways>1 it scans the set's valid prefix. A hit rotates the hit
+// word to way 0, so the returned handle is the set's first; a miss
+// returns the set's last way, which is invalid when the prefix is short
+// and the least recently used way otherwise.
 func (c *Assoc) ProbeAt(set uint64, tag uint32) (handle uint64, res LookupResult) {
 	if c.ways == 1 {
 		w := c.entries[set]
@@ -122,36 +126,22 @@ func (c *Assoc) ProbeAt(set uint64, tag uint32) (handle uint64, res LookupResult
 		}
 	}
 	base := set * c.ways
-	victim := base
-	victimStamp := ^uint64(0)
-	for way := uint64(0); way < c.ways; way++ {
-		h := base + way
-		w := c.entries[h]
+	last := base + c.ways - 1
+	ways := c.entries[base : last+1]
+	for i, w := range ways {
 		if w&flagValid == 0 {
-			// Remember the first invalid way as the preferred victim,
-			// but keep scanning for a hit.
-			if victimStamp != 0 {
-				victim, victimStamp = h, 0
-			}
-			continue
+			return last, MissClean
 		}
 		if entryTag(w) == tag {
-			c.clock++
-			c.stamps[h] = c.clock
-			return h, Hit
-		}
-		if c.stamps[h] < victimStamp {
-			victim, victimStamp = h, c.stamps[h]
+			copy(ways[1:i+1], ways[:i])
+			ways[0] = w
+			return base, Hit
 		}
 	}
-	w := c.entries[victim]
-	if w&flagValid == 0 {
-		return victim, MissClean
+	if c.entries[last]&flagDirty != 0 {
+		return last, MissDirty
 	}
-	if w&flagDirty != 0 {
-		return victim, MissDirty
-	}
-	return victim, MissClean
+	return last, MissClean
 }
 
 // Entry returns the packed tag word at handle (layout: EntryValid,
@@ -159,16 +149,25 @@ func (c *Assoc) ProbeAt(set uint64, tag uint32) (handle uint64, res LookupResult
 func (c *Assoc) Entry(handle uint64) uint64 { return c.entries[handle] }
 
 // Store writes the packed tag word w at handle. install marks a new
-// occupant, which refreshes the handle's LRU stamp; a hit was already
-// refreshed by Probe. With Ways==1 the stamp clock is never read, so it
-// is not maintained.
+// occupant: with Ways>1 it replaces the entry at handle and becomes the
+// set's most recent, shifting the ways before handle down one. A hit
+// was already made most recent by Probe, so a flag update writes in
+// place. With Ways>1, w must be valid: only Reset invalidates, which
+// keeps each set's valid ways a prefix.
 func (c *Assoc) Store(handle, w uint64, install bool) {
-	c.entries[handle] = w
 	if c.ways == 1 || !install {
+		c.entries[handle] = w
 		return
 	}
-	c.clock++
-	c.stamps[handle] = c.clock
+	c.installAt(handle, w)
+}
+
+// installAt moves w into way 0 of handle's set, shifting the ways
+// before handle down one; the entry at handle drops out.
+func (c *Assoc) installAt(handle, w uint64) {
+	base := c.waysDiv.Div(handle) * c.ways
+	copy(c.entries[base+1:handle+1], c.entries[base:handle])
+	c.entries[base] = w
 }
 
 // VictimAddr reconstructs the address of the line at handle.
@@ -217,15 +216,34 @@ func (c *Assoc) DirectEntries() []uint64 {
 	return c.entries
 }
 
-// StampSeqRun overwrites count consecutive sets starting at set with
-// packed entries carrying the given flags and the tags of consecutive
-// lines: the first stamped set receives tag, and the tag increments at
-// each set-index wrap — exactly the final state a walk over count
-// consecutive lines would leave when every visit installs with the same
-// flags. Direct-mapped stores only (Ways == 1); the sequential fold in
-// internal/imc guards on DirectEntries before calling.
+// StampSeqRun leaves the tag state a walk over count consecutive lines
+// would leave when every visit installs with the given flags: the first
+// line maps to set with tag, and the tag increments at each set-index
+// wrap. Direct mapped, each line overwrites its set's one word. With
+// Ways>1, count is at most Lines, and each set gets its k visits'
+// words most-recent-first ahead of its previous first Ways-k ways.
 func (c *Assoc) StampSeqRun(set uint64, tag uint32, count, flags uint64) {
-	stampSeqRun(c.entries, c.sets, set, tag, count, flags)
+	if c.ways == 1 {
+		stampSeqRun(c.entries, c.sets, set, tag, count, flags)
+		return
+	}
+	q, r := c.setsDiv.DivMod(count)
+	for j := uint64(0); j < min(count, c.sets); j++ {
+		k := q
+		if j < r {
+			k++
+		}
+		ways := c.entries[set*c.ways : (set+1)*c.ways]
+		copy(ways[k:], ways[:c.ways-k])
+		for m := uint64(0); m < k; m++ {
+			ways[k-1-m] = packEntry(tag+uint32(m), flags)
+		}
+		set++
+		if set == c.sets {
+			set = 0
+			tag++
+		}
+	}
 }
 
 // stampSeqRun is the shared bulk-stamp kernel of Assoc.StampSeqRun and
@@ -278,14 +296,5 @@ func (c *Assoc) ForEachDirty(fn func(addr uint64)) {
 }
 
 // Reset invalidates every entry, returning the tag store to its
-// as-constructed state without allocating. Direct-mapped stores skip
-// the LRU stamp clear: Ways==1 never reads or writes a stamp (Probe
-// and Store take the specialized path), so for the common sweep
-// geometry this halves the words zeroed per controller recycle.
-func (c *Assoc) Reset() {
-	clear(c.entries)
-	if c.ways > 1 {
-		clear(c.stamps)
-	}
-	c.clock = 0
-}
+// as-constructed state without allocating.
+func (c *Assoc) Reset() { clear(c.entries) }

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -21,6 +23,19 @@ func newAssoc(t *testing.T, capacity uint64, ways int) *Assoc {
 func install(c *Assoc, h, addr uint64) {
 	_, tag := c.Index(addr)
 	c.Store(h, PackEntry(tag, EntryValid), true)
+}
+
+// fill installs addr's line at the miss handle h and returns the handle
+// the line occupies afterwards, found by probing it again: with Ways>1
+// an install moves the line to its set's most recent way.
+func fill(t *testing.T, c *Assoc, h, addr uint64) uint64 {
+	t.Helper()
+	install(c, h, addr)
+	h2, res := c.Probe(addr)
+	if res != Hit {
+		t.Fatalf("probe of %#x after install = %v", addr, res)
+	}
+	return h2
 }
 
 // setFlags ORs flags into the word at handle.
@@ -53,10 +68,9 @@ func TestAssocHitAfterInstall(t *testing.T) {
 	if res != MissClean {
 		t.Fatalf("cold probe = %v", res)
 	}
-	install(c, h, addr)
-	h2, res := c.Probe(addr)
-	if res != Hit || h2 != h {
-		t.Fatalf("probe after install = %v at %d (installed at %d)", res, h2, h)
+	h = fill(t, c, h, addr)
+	if got, ok := c.VictimAddr(h); !ok || got != addr {
+		t.Fatalf("line at hit handle %d = %#x, %v; want %#x", h, got, ok, addr)
 	}
 }
 
@@ -164,8 +178,10 @@ func TestAssocVictimAddrRoundTrip(t *testing.T) {
 	c := newAssoc(t, 4*mem.KiB, 4)
 	f := func(lineRaw uint16) bool {
 		addr := uint64(lineRaw) << mem.LineShift
-		h, _ := c.Probe(addr)
-		install(c, h, addr)
+		h, res := c.Probe(addr)
+		if res != Hit {
+			h = fill(t, c, h, addr)
+		}
 		got, ok := c.VictimAddr(h)
 		return ok && got == addr
 	}
@@ -224,7 +240,7 @@ func TestAssocForEachDirtyAndReset(t *testing.T) {
 	for i := uint64(0); i < 6; i++ {
 		addr := i * mem.Line
 		h, _ := c.Probe(addr)
-		install(c, h, addr)
+		h = fill(t, c, h, addr)
 		if i%2 == 0 {
 			setFlags(c, h, EntryDirty)
 			want[addr] = true
@@ -284,4 +300,128 @@ func TestWays1MatchesDirectMapped(t *testing.T) {
 		t.Errorf("final states diverge: dirty %d/%d valid %d/%d",
 			dm.DirtyLines(), as.DirtyLines(), dm.ValidLines(), as.ValidLines())
 	}
+}
+
+// stampLRU is the reference model of Assoc's replacement: each way
+// carries the clock value of its last install or hit, and a miss
+// evicts the first invalid way, else the way with the oldest stamp.
+// Assoc keeps the same LRU state as the order of its ways instead.
+type stampLRU struct {
+	sets, ways uint64
+	entries    []uint64
+	stamps     []uint64
+	clock      uint64
+}
+
+func newStampLRU(sets, ways uint64) *stampLRU {
+	return &stampLRU{sets: sets, ways: ways,
+		entries: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
+}
+
+func (m *stampLRU) probe(addr uint64) (handle uint64, res LookupResult) {
+	line := addr >> mem.LineShift
+	set, tag := line%m.sets, uint32(line/m.sets)
+	base := set * m.ways
+	victim, victimStamp := base, ^uint64(0)
+	for h := base; h < base+m.ways; h++ {
+		w := m.entries[h]
+		if w&EntryValid == 0 {
+			if victimStamp != 0 {
+				victim, victimStamp = h, 0
+			}
+			continue
+		}
+		if EntryTagOf(w) == tag {
+			m.clock++
+			m.stamps[h] = m.clock
+			return h, Hit
+		}
+		if m.stamps[h] < victimStamp {
+			victim, victimStamp = h, m.stamps[h]
+		}
+	}
+	switch w := m.entries[victim]; {
+	case w&EntryValid == 0 || w&EntryDirty == 0:
+		return victim, MissClean
+	default:
+		return victim, MissDirty
+	}
+}
+
+func (m *stampLRU) store(handle, w uint64, install bool) {
+	m.entries[handle] = w
+	if install {
+		m.clock++
+		m.stamps[handle] = m.clock
+	}
+}
+
+func (m *stampLRU) victimAddr(handle uint64) (uint64, bool) {
+	w := m.entries[handle]
+	if w&EntryValid == 0 {
+		return 0, false
+	}
+	return (uint64(EntryTagOf(w))*m.sets + handle/m.ways) << mem.LineShift, true
+}
+
+// TestAssocMatchesStampLRU runs random probe/install/flag-update
+// programs through Assoc and the stamp-clock reference at several
+// associativities, on few sets so most probes conflict, and demands the
+// same result, victim address, dirty bit and word at every probe, and
+// the same dirty lines at the end.
+func TestAssocMatchesStampLRU(t *testing.T) {
+	const sets = 5
+	for _, ways := range []uint64{2, 3, 4, 8} {
+		c := newAssoc(t, sets*ways*mem.Line, int(ways))
+		ref := newStampLRU(sets, ways)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		for i := 0; i < 200000; i++ {
+			addr := uint64(rng.Intn(int(3*sets*ways))) << mem.LineShift
+			h, res := c.Probe(addr)
+			rh, rres := ref.probe(addr)
+			va, vok := c.VictimAddr(h)
+			ra, rok := ref.victimAddr(rh)
+			refDirty := ref.entries[rh]&(EntryValid|EntryDirty) == EntryValid|EntryDirty
+			if res != rres || va != ra || vok != rok || c.IsDirty(h) != refDirty || c.Entry(h) != ref.entries[rh] {
+				t.Fatalf("ways %d op %d addr %#x: Assoc %v victim %#x/%v word %#x, reference %v victim %#x/%v word %#x",
+					ways, i, addr, res, va, vok, c.Entry(h), rres, ra, rok, ref.entries[rh])
+			}
+			switch op := rng.Intn(4); {
+			case res != Hit && op < 3:
+				_, tag := c.Index(addr)
+				w := PackEntry(tag, EntryValid|uint64(rng.Intn(4))<<1)
+				c.Store(h, w, true)
+				ref.store(rh, w, true)
+			case res == Hit && op < 2:
+				w := c.Entry(h) | EntryDirty
+				if op == 1 {
+					w &^= EntryLLCOwned
+				} else {
+					w |= EntryLLCOwned
+				}
+				c.Store(h, w, false)
+				ref.store(rh, w, false)
+			}
+		}
+		got, want := map[uint64]bool{}, map[uint64]bool{}
+		c.ForEachDirty(func(addr uint64) { got[addr] = true })
+		for h := range ref.entries {
+			if ref.entries[h]&EntryDirty != 0 {
+				a, _ := ref.victimAddr(uint64(h))
+				want[a] = true
+			}
+		}
+		if !maps.Equal(got, want) || c.ValidLines() != uint64(countValid(ref.entries)) {
+			t.Errorf("ways %d: final dirty lines %v, reference %v", ways, got, want)
+		}
+	}
+}
+
+func countValid(entries []uint64) (n int) {
+	for _, w := range entries {
+		if w&EntryValid != 0 {
+			n++
+		}
+	}
+	return n
 }

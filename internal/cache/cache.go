@@ -15,7 +15,9 @@
 // entries per 64 B host cache line, no per-set indirection, so a probe
 // is one load and the batched dispatch path in internal/imc can
 // prefetch a chunk's tag words at full memory concurrency before
-// probing them.
+// probing them. Assoc keeps each set's ways in recency order, most
+// recent first, so that array is its whole state, LRU included; a
+// handle stays valid until the next probe or install in its set.
 package cache
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // TestAssocDirectMappedEquivalence proves the Ways==1 specialized
-// Probe/Install path (which skips the way loop and the LRU stamp
-// clock) classifies every access and reconstructs every victim exactly
+// Probe/Store path (which skips the way scan and the recency shift)
+// classifies every access and reconstructs every victim exactly
 // like the independent DirectMapped implementation, over a long random
 // op stream on a non-power-of-two set count.
 func TestAssocDirectMappedEquivalence(t *testing.T) {
@@ -87,7 +87,7 @@ func TestAssocWaysMatrixVictims(t *testing.T) {
 			addr := uint64(rng.Intn(8*528*ways)) * mem.Line
 			h, res := c.Probe(addr)
 			if res != Hit {
-				install(c, h, addr)
+				h = fill(t, c, h, addr)
 			}
 			got, ok := c.VictimAddr(h)
 			if !ok || got != addr {

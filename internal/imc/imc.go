@@ -185,9 +185,12 @@ type Controller struct {
 	hist [nOutcomes]uint64
 
 	// Geometry, copied out of the tag store and DRAM module so the hot
-	// request paths touch one cache line of controller state.
-	sets uint64
-	nch  int
+	// request paths touch one cache line of controller state. A group
+	// is Ways x Sets lines, the stride at which a sequential range
+	// revisits the same way of the same set (seqfold.go).
+	sets  uint64
+	group uint64
+	nch   int
 
 	// tel samples into an optional sink at demand-line boundaries.
 	// The hooks live only at the batched range entry points, behind
@@ -283,6 +286,7 @@ func New(dramMod *dram.Module, nvramMod *nvram.Module, opts ...Option) (*Control
 		NVRAM:  nvramMod,
 		policy: cfg.policy,
 		sets:   dc.Sets(),
+		group:  dc.Lines(),
 		nch:    dramMod.Channels(),
 	}
 	c.initScatter()
@@ -463,12 +467,11 @@ func (c *Controller) LLCWrite(addr uint64) (res cache.LookupResult, ddo bool) {
 
 // LLCReadRange services n consecutive line reads starting at the line
 // containing addr — the batched form of calling LLCRead on each line in
-// ascending order. Direct-mapped stores with read-allocate take the
-// closed-form set-stride fold (seqfold.go); Ways>1 and the
-// no-read-allocate ablation walk the lines through line. Counter
-// results — imc.Counters, per-channel CAS, NVRAM media counters — are
-// byte-identical to the per-line path (the differential tests pin
-// this).
+// ascending order. With read-allocate it takes the closed-form fold
+// (seqfold.go) at any associativity; the no-read-allocate ablation
+// walks the lines through line. Counter results — imc.Counters,
+// per-channel CAS, NVRAM media counters — are byte-identical to the
+// per-line path (the differential tests pin this).
 //
 //hot:entry batched demand path, driven on pooled controllers
 //alloc:free batched read path, 0 allocs/op by benchmark contract
@@ -476,8 +479,8 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.ReadAllocate {
-		c.seqReadRange(entries, addr, n)
+	if c.policy.ReadAllocate {
+		c.seqReadRange(addr, n)
 	} else {
 		c.walk(addr, n, false)
 	}
@@ -488,9 +491,9 @@ func (c *Controller) LLCReadRange(addr uint64, n uint64) {
 
 // LLCWriteRange services n consecutive line writebacks starting at the
 // line containing addr — the batched form of calling LLCWrite on each
-// line in ascending order. Direct-mapped stores with write-allocate
-// take the closed-form fold (DisableDDO folds too — it only picks the
-// uniform write formula); Ways>1 and write-around walk the lines
+// line in ascending order. With write-allocate it takes the
+// closed-form fold at any associativity (DisableDDO folds too — it
+// only picks the uniform write formula); write-around walks the lines
 // through line. Counter-identical to the per-line path.
 //
 //hot:entry batched writeback path, driven on pooled controllers
@@ -499,8 +502,8 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 	if n == 0 {
 		return
 	}
-	if entries := c.Cache.DirectEntries(); entries != nil && c.policy.WriteAllocate {
-		c.seqWriteRange(entries, addr, n)
+	if c.policy.WriteAllocate {
+		c.seqWriteRange(addr, n)
 	} else {
 		c.walk(addr, n, true)
 	}

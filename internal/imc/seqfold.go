@@ -1,30 +1,33 @@
-// Closed-form set-stride fold for sequential demand (DESIGN.md §4h).
+// Closed-form fold for sequential demand (DESIGN.md §4h).
 //
-// A sequential line range walks the direct-mapped tag store's sets with
-// unit stride, wrapping set -> 0 with a tag carry. Against arbitrary
-// prior state, the first visit to each set can take any Table-I outcome
-// — but this range's own visit leaves the set in a state the policy
-// fully determines, so from the second wrap on (reads may need one more
-// wrap to flush dirt that a hit preserved) every line takes exactly one
-// outcome:
+// A sequential line range walks the tag store's sets with unit stride,
+// wrapping set -> 0 with a tag carry, so it revisits the same way of
+// the same set every group of Ways x Sets lines. Against arbitrary
+// prior state, the first group can take any Table-I outcome — but an
+// allocating range leaves every line it touches resident, so after one
+// group each set holds exactly this range's last Ways lines in LRU
+// order, and from then on (reads may need one more group to flush dirt
+// that a hit preserved) every line takes exactly one outcome:
 //
 //	reads:  tag miss, clean victim (this range's own install),
 //	        NVRAM fill + DRAM install
-//	writes: tag miss, dirty victim = the line one set-wrap back,
+//	writes: tag miss, dirty victim = the line one group back,
 //	        victim writeback + fill + install + data write
 //
-// The fold therefore splits a range into predicated probe wraps (one
-// packed-word load/store per set, at most two wraps for reads, one for
-// writes) and a uniform remainder committed arithmetically: counters in
-// O(1), per-channel CAS through dram's range distributor, NVRAM media
-// through the ascending-run entry points, and the final tag state as a
-// bulk stamp of the last window of sets. The interleaved writeback+read
-// fold does the same for the eviction shadow a store stream drags
-// behind its demand reads. Every wrap and remainder counts Table I
-// outcomes into the controller's histogram (table1.go). Fallbacks:
-// associativity > 1 (no flat entry array) and the no-allocate ablations
-// take walk; DisableDDO folds (it only changes which uniform write
-// formula applies). Legality is pinned by the differential and
+// The fold therefore splits a range into probe groups (at most two for
+// reads, one for writes) and a uniform remainder committed
+// arithmetically: counters in O(1), per-channel CAS through dram's
+// range distributor, NVRAM media through the ascending-run entry
+// points, and the final tag state as a bulk stamp of the last group of
+// lines. Direct mapped, a probe group is one wrap of a predicated,
+// hand-written probe (one packed-word load/store per set); associative
+// stores walk their probe groups through line, the Table I reference.
+// The interleaved writeback+read fold does the same for the eviction
+// shadow a store stream drags behind its demand reads, direct mapped
+// only. Every group and remainder counts Table I outcomes into the
+// controller's histogram (table1.go). Fallback: the no-allocate
+// ablations take walk; DisableDDO folds (it only changes which uniform
+// write formula applies). Legality is pinned by the differential and
 // range-split tests in seqfold_test.go and by FuzzDispatchMatchesPerLine
 // — byte-identical counters, channel CAS, NVRAM media counters, and
 // final tag state versus per-line dispatch.
@@ -37,39 +40,54 @@ import (
 )
 
 // seqReadRange is the closed-form body of LLCReadRange. Preconditions:
-// n > 0, entries is the flat Ways==1 tag array, and ReadAllocate holds.
-// The caller flushes telemetry.
-func (c *Controller) seqReadRange(entries []uint64, addr, n uint64) {
-	// Every read costs one DRAM data+tag read, hit or miss.
-	c.DRAM.ReadRange(addr, n)
-
-	sets := c.sets
+// n > 0 and ReadAllocate holds. The caller flushes telemetry.
+func (c *Controller) seqReadRange(addr, n uint64) {
+	entries := c.Cache.DirectEntries()
 	rem := n
 	a := addr
-	// Probe wraps: the first visit to each set runs predicated against
-	// whatever the set held. A read hit preserves a dirty bit, so one
-	// more wrap of dirt can follow; after a wrap with no dirty hits the
-	// remainder is uniform. Two wraps is the fixed point: a second wrap
-	// cannot hit (its tags are one carry past the tags it installed).
+	// Probe groups: the first visit to each way of each set runs
+	// predicated against whatever the set held. A read hit keeps the
+	// line, and a dirty bit with it, so one more group of dirt can
+	// follow; after a group with no such hit the remainder is uniform.
+	// Two groups is the fixed point: a second group cannot hit (each of
+	// its tags is past every tag its set holds). Direct mapped, a group
+	// is one wrap of the hand-written probe; associative, it walks the
+	// per-line reference and re-runs after any hit.
 	for rem > 0 {
-		w := min(rem, sets)
-		dirtyHits := c.readProbeWrap(entries, a, w)
+		w := min(rem, c.group)
+		var again uint64
+		if entries != nil {
+			// Every read costs one DRAM data+tag read, hit or miss.
+			c.DRAM.ReadRange(a, w)
+			again = c.readProbeWrap(entries, a, w)
+		} else {
+			hits := c.hist[readHit]
+			c.walk(a, w, false)
+			again = c.hist[readHit] - hits
+		}
 		a += w * mem.Line
 		rem -= w
-		if dirtyHits == 0 {
+		if again == 0 {
 			break
 		}
 	}
 	// Uniform remainder: every line misses clean against this range's
-	// own install and refills.
+	// own install one group back and refills.
 	if rem > 0 {
 		c.hist[readMissClean] += rem
+		c.DRAM.ReadRange(a, rem)
 		c.NVRAM.ReadLineRun(a, rem)
 		c.DRAM.WriteRange(a, rem)
-		wlen := min(rem, sets)
-		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
-		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryLLCOwned)
+		c.stampTail(a, rem, cache.EntryValid|cache.EntryLLCOwned)
 	}
+}
+
+// stampTail commits the final tag state of a uniform remainder of rem
+// lines from a: only its last group of lines stays resident.
+func (c *Controller) stampTail(a, rem, flags uint64) {
+	wlen := min(rem, c.group)
+	ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
+	c.Cache.StampSeqRun(ws, wt, wlen, flags)
 }
 
 // readProbeWrap services n consecutive read lines (n <= sets) with
@@ -115,30 +133,32 @@ func (c *Controller) readProbeWrap(entries []uint64, addr, n uint64) (dirtyHits 
 	return dirtyHits
 }
 
-// seqWriteRange is the closed-form body of LLCWriteRange. Preconditions:
-// n > 0, entries is the flat Ways==1 tag array, and WriteAllocate holds
-// (DisableDDO folds). The caller flushes telemetry.
-func (c *Controller) seqWriteRange(entries []uint64, addr, n uint64) {
-	sets := c.sets
-	// One probe wrap reaches the fixed point: every write branch leaves
-	// its set valid and dirty with this wrap's tag, so the next wrap
-	// always takes the dirty-miss path.
-	head := min(n, sets)
-	c.writeProbeWrap(entries, addr, head)
+// seqWriteRange is the closed-form body of LLCWriteRange.
+// Preconditions: n > 0 and WriteAllocate holds (DisableDDO folds). The
+// caller flushes telemetry.
+func (c *Controller) seqWriteRange(addr, n uint64) {
+	// One probe group reaches the fixed point: every write branch
+	// leaves its line resident, valid and dirty, so after a group every
+	// set holds this range's last lines and the next group always takes
+	// the dirty-miss path against the line one group back.
+	head := min(n, c.group)
+	if entries := c.Cache.DirectEntries(); entries != nil {
+		c.writeProbeWrap(entries, addr, head)
+	} else {
+		c.walk(addr, head, true)
+	}
 	rem := n - head
 	if rem > 0 {
 		a := addr + head*mem.Line
-		// Tag-check read, then: victim writeback of the line one wrap
+		// Tag-check read, then: victim writeback of the line one group
 		// back, fill, install, and the data write.
 		c.hist[writeMissDirty] += rem
 		c.DRAM.ReadRange(a, rem)
-		c.NVRAM.WriteLineRun(a-sets*mem.Line, rem)
+		c.NVRAM.WriteLineRun(a-c.group*mem.Line, rem)
 		c.NVRAM.ReadLineRun(a, rem)
 		c.DRAM.WriteRange(a, rem)
 		c.DRAM.WriteRange(a, rem)
-		wlen := min(rem, sets)
-		ws, wt := c.Cache.Index(a + (rem-wlen)*mem.Line)
-		c.Cache.StampSeqRun(ws, wt, wlen, cache.EntryValid|cache.EntryDirty)
+		c.stampTail(a, rem, cache.EntryValid|cache.EntryDirty)
 	}
 }
 

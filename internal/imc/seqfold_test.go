@@ -32,47 +32,44 @@ func newFoldPair(t *testing.T, policy Policy) (perLine, batched *Controller) {
 }
 
 // assertSameTagState asserts the two controllers' tag stores are in
-// identical final states — the part of the fold the counter comparison
-// cannot see (a wrong bulk stamp only shows up in later traffic).
+// identical final states, word for word — the part of the fold the
+// counter comparison cannot see (a wrong bulk stamp only shows up in
+// later traffic). Each set keeps its ways in recency order, so equal
+// histories leave equal words in equal slots at any associativity.
 func assertSameTagState(t *testing.T, label string, perLine, batched *Controller) {
 	t.Helper()
-	a, b := perLine.Cache.DirectEntries(), batched.Cache.DirectEntries()
-	if a == nil || b == nil {
-		if (a == nil) != (b == nil) {
-			t.Fatalf("%s: layout diverges: per-line direct=%v, batched direct=%v", label, a != nil, b != nil)
-		}
-		// Ways > 1: the fold never engages; spot-check the aggregates.
-		if x, y := perLine.Cache.DirtyLines(), batched.Cache.DirtyLines(); x != y {
-			t.Errorf("%s: dirty lines diverge: per-line %d, batched %d", label, x, y)
-		}
-		if x, y := perLine.Cache.ValidLines(), batched.Cache.ValidLines(); x != y {
-			t.Errorf("%s: valid lines diverge: per-line %d, batched %d", label, x, y)
-		}
-		return
-	}
-	for set := range a {
-		if a[set] != b[set] {
-			t.Fatalf("%s: tag state diverges at set %d: per-line %#x, batched %#x",
-				label, set, a[set], b[set])
+	for h := uint64(0); h < perLine.Cache.Lines(); h++ {
+		if a, b := perLine.Cache.Entry(h), batched.Cache.Entry(h); a != b {
+			t.Fatalf("%s: tag state diverges at handle %d: per-line %#x, batched %#x", label, h, a, b)
 		}
 	}
 }
 
 // foldPrimings returns named priming functions that put both
 // controllers of a pair into interesting identical pre-range states.
-func foldPrimings(sets uint64) map[string]func(c *Controller) {
+// A group is Ways x Sets lines: the span after which a sequential
+// range revisits the same way of the same set.
+func foldPrimings(sets, group uint64) map[string]func(c *Controller) {
 	return map[string]func(c *Controller){
 		"cold": func(c *Controller) {},
 		"warm-clean": func(c *Controller) {
-			// Every set valid and clean, tags one wrap behind the test
-			// ranges' span start.
-			for a := uint64(0); a < sets*mem.Line; a += mem.Line {
+			// Every way valid and clean, holding the test ranges' first
+			// group.
+			for a := uint64(0); a < group*mem.Line; a += mem.Line {
 				c.LLCRead(a)
 			}
 		},
 		"warm-dirty": func(c *Controller) {
-			// Every set dirty — read folds must flush a full second wrap.
+			// One way of every set dirty — a read fold from line 0 hits
+			// dirty lines in its first group, so it runs a second.
 			for a := uint64(0); a < sets*mem.Line; a += mem.Line {
+				c.LLCWrite(a)
+			}
+		},
+		"dirty-group": func(c *Controller) {
+			// Every way of every set dirty with the test ranges' first
+			// group: the first read group hits dirty lines throughout.
+			for a := uint64(0); a < group*mem.Line; a += mem.Line {
 				c.LLCWrite(a)
 			}
 		},
@@ -91,8 +88,8 @@ func foldPrimings(sets uint64) map[string]func(c *Controller) {
 }
 
 // TestSeqFoldLongRanges drives read and write ranges long enough to
-// cross from the predicated probe wraps into the uniform remainder —
-// including exact-wrap, wrap+1, and multi-wrap-plus-tail lengths at
+// cross from the predicated probe groups into the uniform remainder —
+// including exact-group, group+1, and multi-group-plus-tail lengths at
 // aligned and unaligned bases — against every policy and priming, and
 // demands byte-identical traffic and final tag state versus per-line
 // dispatch.
@@ -100,13 +97,13 @@ func TestSeqFoldLongRanges(t *testing.T) {
 	for name, policy := range rangeTestPolicies() {
 		t.Run(name, func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
-			sets := probe.Cache.Sets()
-			for pname, prime := range foldPrimings(sets) {
+			sets, g := probe.Cache.Sets(), probe.Cache.Lines()
+			for pname, prime := range foldPrimings(sets, g) {
 				t.Run(pname, func(t *testing.T) {
 					perLine, batched := newFoldPair(t, policy)
 					prime(perLine)
 					prime(batched)
-					for _, n := range []uint64{1, sets - 1, sets, sets + 1, 2*sets + 137, 3 * sets} {
+					for _, n := range []uint64{1, g - 1, g, g + 1, 2*g + 137, 3 * g} {
 						for _, base := range []uint64{0, 513 * mem.Line, 7*mem.Line + 24} {
 							for a, i := base, uint64(0); i < n; i++ {
 								perLine.LLCRead(a)
@@ -139,7 +136,7 @@ func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
 			sets := probe.Cache.Sets()
 			lags := []uint64{1, 7, sets / 2, sets - 1, sets, sets + 5}
-			for pname, prime := range foldPrimings(sets) {
+			for pname, prime := range foldPrimings(sets, probe.Cache.Lines()) {
 				t.Run(pname, func(t *testing.T) {
 					perLine, batched := newFoldPair(t, policy)
 					prime(perLine)
@@ -176,21 +173,21 @@ func TestWritebackReadRangeMatchesPerLine(t *testing.T) {
 // TestRangeSplitCommutes is the range-split property test: servicing a
 // sequential range in one call and servicing it as back-to-back
 // subranges split at arbitrary cut points must produce byte-identical
-// traffic and tag state — the fold's segment boundaries (probe wraps,
+// traffic and tag state — the fold's segment boundaries (probe groups,
 // uniform remainder, stamp window) cannot leak into the results.
 func TestRangeSplitCommutes(t *testing.T) {
 	for name, policy := range rangeTestPolicies() {
 		t.Run(name, func(t *testing.T) {
 			probe, _ := newFoldPair(t, policy)
-			sets := probe.Cache.Sets()
-			n := 3*sets + 311
+			sets, g := probe.Cache.Sets(), probe.Cache.Lines()
+			n := 3*g + 311
 			cutVectors := [][]uint64{
-				{1},                       // peel one line
-				{sets},                    // exactly the probe wrap
-				{sets + 1},                // one past it
-				{sets / 3, sets + 7},      // mid-wrap and early-uniform
-				{2*sets + 5, 3 * sets},    // both cuts in the remainder
-				{1, 2, 3, sets, 3 * sets}, // many uneven pieces
+				{1},                 // peel one line
+				{g},                 // exactly the probe group
+				{g + 1},             // one past it
+				{g / 3, g + 7},      // mid-group and early-uniform
+				{2*g + 5, 3 * g},    // both cuts in the remainder
+				{1, 2, 3, g, 3 * g}, // many uneven pieces
 			}
 			for _, cuts := range cutVectors {
 				for _, write := range []bool{false, true} {

@@ -77,8 +77,8 @@ var rows = [nOutcomes]row{
 // shifted onto the write columns (writeHit - readHit apart). It is a
 // branchy switch on purpose: a table index would put the tag-word load
 // on a data-dependency chain into every later step. It sits exactly at
-// the inliner's budget (cost 80), so line pays no call for it; check
-// `go build -gcflags=-m ./internal/imc` after editing it.
+// the inliner's budget (cost 80), so line pays no call for it; CI's
+// inlining guard fails when `go build -gcflags=-m` stops reporting it.
 func decide(p *Policy, w uint64, tag uint32, write bool) outcome {
 	var o outcome
 	switch {

@@ -263,21 +263,27 @@ const MaxPoints = 65536
 
 // Caps on the geometry a job may name. A job builds one controller per
 // geometry class, and each allocates per DRAM channel, per NVRAM DIMM
-// and 16 B of tag store per cache line, so these bound what one small
-// document can make a host allocate. Each sits far above every
-// committed example, test and benchmark job: sweep_default.json, the
-// largest grid, has at most 6 channels, 1 DIMM, ratio 8, and 84 MiB of
-// cache summed over its 144 classes.
+// and 8 B of tag store per cache line, so these bound what one small
+// document can make a host allocate; the ways cap bounds the work of
+// one probe. Each sits far above every committed example, test and
+// benchmark job: sweep_default.json, the largest grid, has at most 4
+// ways, 6 channels, 1 DIMM, ratio 8, and 84 MiB of cache summed over
+// its 144 classes.
 const (
 	// maxChannels bounds each DRAM channel count.
 	maxChannels = 64
 	// maxDIMMs bounds each NVRAM DIMM count.
 	maxDIMMs = 64
+	// maxWays bounds each associativity: a probe scans its set's ways
+	// and a sequential pass checks for cancellation only between
+	// passes, so the ways count bounds how long one probe, and one
+	// uncancellable pass, can run.
+	maxWays = 64
 	// maxRatio bounds each NVRAM:DRAM capacity ratio, which keeps
 	// cache bytes x ratio far from wrapping.
 	maxRatio = 256
 	// maxCacheBytes bounds the simulated DRAM-cache bytes summed over
-	// a job's geometry classes (256 MiB of tag store). Checking KiB
+	// a job's geometry classes (128 MiB of tag store). Checking KiB
 	// against maxCacheBytes/1024 before multiplying keeps the
 	// KiB-to-bytes conversion from wrapping.
 	maxCacheBytes = 1 << 30
@@ -393,9 +399,12 @@ func checkGeometry(e *Errors, prefix string, cacheKiB uint64, ways, channels, di
 	case cacheKiB > maxCacheKiB:
 		e.add(prefix+".cache_kib", "%d KiB exceeds the %d KiB a job may simulate", cacheKiB, maxCacheKiB)
 	}
-	if ways < 1 {
+	switch {
+	case ways < 1:
 		e.add(prefix+".ways", "associativity %d must be >= 1", ways)
-	} else if cacheKiB != 0 && cacheKiB <= maxCacheKiB && (cacheKiB*1024)%(mem.Line*uint64(ways)) != 0 {
+	case ways > maxWays:
+		e.add(prefix+".ways", "associativity %d exceeds the maximum of %d", ways, maxWays)
+	case cacheKiB != 0 && cacheKiB <= maxCacheKiB && (cacheKiB*1024)%(mem.Line*uint64(ways)) != 0:
 		e.add(prefix+".cache_kib", "%d KiB is not a multiple of %d ways x %d B lines", cacheKiB, ways, mem.Line)
 	}
 	checkCount(e, prefix+".channels", "channel", channels, maxChannels)
@@ -500,15 +509,18 @@ func validateAxes(e *Errors, a *Axes) {
 			continue
 		}
 		for j, ways := range a.Ways {
-			if ways >= 1 && (kib*1024)%(mem.Line*uint64(ways)) != 0 {
+			if ways >= 1 && ways <= maxWays && (kib*1024)%(mem.Line*uint64(ways)) != 0 {
 				e.add(fmt.Sprintf("sweep.cache_kib[%d]", i),
 					"%d KiB is not a multiple of ways[%d]=%d x %d B lines", kib, j, ways, mem.Line)
 			}
 		}
 	}
 	for i, w := range a.Ways {
-		if w < 1 {
+		switch {
+		case w < 1:
 			e.add(fmt.Sprintf("sweep.ways[%d]", i), "associativity %d must be >= 1", w)
+		case w > maxWays:
+			e.add(fmt.Sprintf("sweep.ways[%d]", i), "associativity %d exceeds the maximum of %d", w, maxWays)
 		}
 	}
 	for i, p := range a.Policies {

@@ -279,7 +279,7 @@ func TestValidateCapsGridPoints(t *testing.T) {
 
 	doc := `{"version": 1, "sweep": {
 		"cache_kib": [64, 128, 192, 256, 320, 384, 448, 512, 576, 640],
-		"ways": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512],
+		"ways": [1, 2, 4, 8, 16, 32, 64],
 		"policies": ["hardware", "ddo-off", "no-write-allocate", "no-read-allocate"],
 		"channels": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
 		"dimms": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
@@ -319,7 +319,8 @@ func assertCapViolation(t *testing.T, err error) {
 // hostileGeometries names each reject-cap-* document of the FuzzDecode
 // seed corpus and the one field its violation must name. Each document
 // is a few dozen bytes that, accepted, would make a host allocate
-// gigabytes or wrap a capacity product.
+// gigabytes, wrap a capacity product, or scan millions of ways per
+// probe.
 var hostileGeometries = []struct{ name, field string }{
 	{"reject-cap-cache-kib", "geometry.cache_kib"},
 	{"reject-cap-cache-kib-wrap", "geometry.cache_kib"},
@@ -331,6 +332,10 @@ var hostileGeometries = []struct{ name, field string }{
 	{"reject-cap-sweep-dimms", "sweep.dimms[0]"},
 	{"reject-cap-sweep-ratios", "sweep.ratios[0]"},
 	{"reject-cap-sweep-classes", "sweep.cache_kib"},
+	{"reject-cap-ways", "geometry.ways"},
+	{"reject-cap-sweep-ways", "sweep.ways[0]"},
+	{"reject-cap-ways-wrap", "geometry.ways"},
+	{"reject-cap-sweep-ways-wrap", "sweep.ways[1]"},
 }
 
 // corpusDoc reads one FuzzDecode seed-corpus entry.
@@ -365,12 +370,12 @@ func TestDecodeRejectsHostileGeometry(t *testing.T) {
 		})
 	}
 	atCap := Spec{Version: 1,
-		Geometry: &Geometry{CacheKiB: maxCacheKiB, Channels: maxChannels, DIMMs: maxDIMMs},
+		Geometry: &Geometry{CacheKiB: maxCacheKiB, Ways: maxWays, Channels: maxChannels, DIMMs: maxDIMMs},
 		Workload: &Workload{Ratio: maxRatio}}
 	if err := atCap.Validate(); err != nil {
 		t.Errorf("point at every cap rejected: %v", err)
 	}
-	grid := Spec{Version: 1, Sweep: &Axes{CacheKiB: []uint64{maxCacheKiB / 2}, Ways: []int{1, 2},
+	grid := Spec{Version: 1, Sweep: &Axes{CacheKiB: []uint64{maxCacheKiB / 2}, Ways: []int{1, maxWays},
 		Channels: []int{maxChannels}, DIMMs: []int{maxDIMMs}, Ratios: []uint64{maxRatio}}}
 	if err := grid.Validate(); err != nil {
 		t.Errorf("grid whose classes total exactly the cap rejected: %v", err)

@@ -34,14 +34,14 @@ type rig struct {
 }
 
 // tagBytesPerLine is cache.Assoc's footprint per cache line: one packed
-// entry word and one LRU stamp.
-const tagBytesPerLine = 16
+// entry word (the LRU state is the order of a set's words).
+const tagBytesPerLine = 8
 
 // maxRetainedTagBytes bounds the tag-store bytes an Arena keeps in its
 // free lists; a release past it drops the rig for the GC. One arena
 // serves cmd/simd for its whole life, so without a bound every distinct
 // geometry it ever ran would stay resident. sweep_default.json retains
-// 21 MiB per worker and perfbench's simd-open traffic under 1 MiB, so
+// 10.5 MiB per worker and perfbench's simd-open traffic under 1 MiB, so
 // neither ever reaches it.
 const maxRetainedTagBytes = 128 << 20
 

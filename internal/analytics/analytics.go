@@ -5,10 +5,12 @@
 //
 // Every array the algorithms touch (CSR offsets, edges, and the
 // per-node property arrays) is placed in the simulated address space;
-// each element access is forwarded to the System, whose on-chip cache
-// model coalesces same-line touches exactly as hardware would. The
-// kernels close a Sync interval per round, producing the time series
-// of the paper's Figure 9.
+// each element access goes through the System's batch builder
+// (core.Batch), whose on-chip cache filter coalesces same-line touches
+// exactly as hardware would, in access order, and hands the misses to
+// the memory in bulk. The kernels close a Sync interval per round
+// (Sync flushes the builder first), producing the time series of the
+// paper's Figure 9.
 package analytics
 
 import (
@@ -84,6 +86,7 @@ type Result struct {
 type runner struct {
 	cfg  Config
 	sys  *core.System
+	b    *core.Batch // the element accesses; Sync and DrainLLC flush it
 	g    *graph.Graph
 	l    graph.Layout
 	ctr0 imc.Counters
@@ -107,6 +110,7 @@ func newRunner(cfg Config) (*runner, error) {
 	return &runner{
 		cfg:  cfg,
 		sys:  cfg.Sys,
+		b:    cfg.Sys.Batch(),
 		g:    cfg.G,
 		l:    cfg.Layout,
 		ctr0: cfg.Sys.Counters(),
@@ -162,18 +166,18 @@ func (r *runner) allocProp(name string) (mem.Region, error) {
 
 // loadElem records a 4-byte element load.
 func (r *runner) loadElem(reg mem.Region, idx uint32) {
-	r.sys.Load(reg.Base + uint64(idx)*4)
+	r.b.Load(reg.Base + uint64(idx)*4)
 }
 
 // rmwElem records a read-modify-write of a 4-byte element (load + RFO
 // + deferred writeback, coalesced on chip).
 func (r *runner) rmwElem(reg mem.Region, idx uint32) {
-	r.sys.RMW(reg.Base + uint64(idx)*4)
+	r.b.RMW(reg.Base + uint64(idx)*4)
 }
 
 // storeElem records a 4-byte element store.
 func (r *runner) storeElem(reg mem.Region, idx uint32) {
-	r.sys.Store(reg.Base + uint64(idx)*4)
+	r.b.Store(reg.Base + uint64(idx)*4)
 }
 
 // loadSpan records loads covering elements [start, end) of a 4-byte
@@ -185,7 +189,7 @@ func (r *runner) loadSpan(reg mem.Region, start, end uint32) {
 	first := reg.Base + uint64(start)*4
 	last := reg.Base + uint64(end)*4 - 1
 	for a := first &^ (mem.Line - 1); a <= last; a += mem.Line {
-		r.sys.Load(a)
+		r.b.Load(a)
 	}
 }
 

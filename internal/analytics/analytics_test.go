@@ -326,6 +326,7 @@ func TestLoadSpanCoversLines(t *testing.T) {
 	reg, _ := cfg.AllocProp(1024)
 	before := cfg.Sys.Counters().LLCRead
 	r.loadSpan(reg, 0, 32) // 128 bytes = 2 lines
+	r.b.Flush()            // the loads are pending in the batch builder
 	got := cfg.Sys.Counters().LLCRead - before
 	if got != 2 {
 		t.Errorf("loadSpan issued %d line loads, want 2", got)
@@ -333,6 +334,7 @@ func TestLoadSpanCoversLines(t *testing.T) {
 	// Empty span: nothing.
 	before = cfg.Sys.Counters().LLCRead
 	r.loadSpan(reg, 5, 5)
+	r.b.Flush()
 	if cfg.Sys.Counters().LLCRead != before {
 		t.Error("empty span generated traffic")
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"twolm/internal/lfsr"
 	"twolm/internal/mem"
+	"twolm/internal/telemetry"
 )
 
 // driveBatchMix appends an LFSR-random pass with a rotating op mix to
@@ -133,9 +135,10 @@ func TestBatchTapFallsBackPerLine(t *testing.T) {
 	assertSameSystemTraffic(t, "tap-fallback", tapped, batched)
 }
 
-// TestBatchAutoFlush drives more operations than the builder's buffer
-// cap in one burst, forcing the automatic mid-stream drain, and
-// asserts the result still matches per-line dispatch.
+// TestBatchAutoFlush drives more operations than one telemetry sample
+// group in one burst, forcing many automatic mid-stream chunk
+// dispatches and a sample-cadence rollover, and asserts the result
+// still matches per-line dispatch.
 func TestBatchAutoFlush(t *testing.T) {
 	cfg := fastpathConfigs()["2lm-hardware"]
 	slow, fast := newFastpathPair(t, cfg)
@@ -147,7 +150,7 @@ func TestBatchAutoFlush(t *testing.T) {
 	if _, err := fast.AddressSpace().Alloc(2 * fast.Platform().DRAMSize()); err != nil {
 		t.Fatal(err)
 	}
-	const ops = batchFlushOps + 4*1337
+	const ops = batchSampleOps + 4*1337
 	b := fast.Batch()
 	lines := region.Lines()
 	for i := uint64(0); i < ops; i++ {
@@ -162,4 +165,62 @@ func TestBatchAutoFlush(t *testing.T) {
 	}
 	b.Flush()
 	assertSameSystemTraffic(t, "auto-flush", slow, fast)
+}
+
+// TestBatchSampleCadence pins where a System with a sink samples the
+// batched path: after every batchSampleOps appended operations and at
+// Flush, independent of the chunk size the builder dispatches in. The
+// reference issues the same stream per line and calls maybeSample at
+// those points by hand; the recorded series must be identical, so the
+// telemetry trace of a batched workload cannot drift with batchChunk.
+func TestBatchSampleCadence(t *testing.T) {
+	cfg := fastpathConfigs()["2lm-hardware"]
+	ref, batched := newFastpathPair(t, cfg)
+	ref.SetTap(nil)
+	region, err := ref.AddressSpace().Alloc(2 * ref.Platform().DRAMSize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := batched.AddressSpace().Alloc(2 * batched.Platform().DRAMSize()); err != nil {
+		t.Fatal(err)
+	}
+	// A one-line interval makes every sampling check record a sample,
+	// so the series lists exactly the points the checks ran at.
+	refRec, batchRec := telemetry.NewRecorder(), telemetry.NewRecorder()
+	ref.SetTelemetry(refRec, 1)
+	batched.SetTelemetry(batchRec, 1)
+
+	const ops = 3*batchSampleOps + 1337
+	b := batched.Batch()
+	lines := region.Lines()
+	for i := uint64(0); i < ops; i++ {
+		addr := region.Base + (i*2654435761)%lines*mem.Line
+		if i&1 == 0 {
+			ref.Load(addr)
+			b.Load(addr)
+		} else {
+			ref.Store(addr)
+			b.Store(addr)
+		}
+		if (i+1)%batchSampleOps == 0 {
+			ref.maybeSample()
+		}
+	}
+	ref.maybeSample()
+	b.Flush()
+
+	if got := batchRec.Len(); got != 4 {
+		t.Fatalf("batched run recorded %d samples, want 4 (three groups and the flush)", got)
+	}
+	var refCSV, batchCSV bytes.Buffer
+	if err := refRec.WriteCSV(&refCSV); err != nil {
+		t.Fatal(err)
+	}
+	if err := batchRec.WriteCSV(&batchCSV); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(refCSV.Bytes(), batchCSV.Bytes()) {
+		t.Errorf("sample series diverge\n ref:\n%s\n batched:\n%s", refCSV.String(), batchCSV.String())
+	}
+	assertSameSystemTraffic(t, "sample-cadence", ref, batched)
 }

@@ -194,6 +194,9 @@ func New(cfg Config) (*System, error) {
 		s.flat = &flatMemory{dram: dramMod, nvram: nvramMod, boundary: s.space.DRAMBoundary()}
 		s.mc = s.flat
 	}
+	if perLineReference {
+		s.tap = nopTap
+	}
 	return s, nil
 }
 
@@ -284,6 +287,18 @@ const (
 // workload generates — internal/trace uses this to record replayable
 // traces.
 func (s *System) SetTap(tap func(op TapOp, addr uint64)) { s.tap = tap }
+
+// perLineReference is set by the `reference` build tag (reference.go).
+// Every System then carries a tap from New on (until SetTap replaces
+// it), so every demand operation takes the per-line path (llcTouch, then the memory's
+// one-line LLCRead/LLCWrite): no Range fold, no Batch and no scatter
+// runs. A reproduction built this way is the reference the accelerated
+// paths are diffed against.
+var perLineReference bool
+
+// nopTap is the tap a reference build installs: it observes nothing
+// and only forces the per-line path.
+func nopTap(TapOp, uint64) {}
 
 // --- demand path -----------------------------------------------------
 
@@ -556,9 +571,13 @@ func (s *System) DMACopy(src, dst mem.Region) {
 }
 
 // DrainLLC writes back every dirty line held in the on-chip cache
-// model. Call at kernel boundaries so deferred writebacks are charged
-// to the workload that produced them.
+// model, after flushing pending Batch operations. Call at kernel
+// boundaries so deferred writebacks are charged to the workload that
+// produced them.
 func (s *System) DrainLLC() {
+	if s.batch != nil {
+		s.batch.Flush()
+	}
 	sets := s.llc.Sets()
 	for set := uint64(0); set < sets; set++ {
 		if s.llc.IsDirty(set) {
@@ -676,8 +695,9 @@ func (s *System) avgDemandLatencyNS(d imc.Counters) float64 {
 	return (1-nvFrac)*s.model.DRAM.ReadLatencyNS + nvFrac*s.model.NVRAM.ReadLatencyNS
 }
 
-// Sync closes the current interval: it computes the interval's elapsed
-// time from the traffic generated since the previous Sync (overlapped
+// Sync closes the current interval: it flushes pending Batch
+// operations, then computes the interval's elapsed time from the
+// traffic generated since the previous Sync (overlapped
 // with computeSeconds of CPU work), advances the clock, and records a
 // sample labeled label. It returns the sample.
 //
@@ -688,6 +708,9 @@ func (s *System) avgDemandLatencyNS(d imc.Counters) float64 {
 //	CPU issue:      demandBytes / issueBW(latency)
 //	CPU compute:    computeSeconds
 func (s *System) Sync(label string, computeSeconds float64) perfcounter.Sample {
+	if s.batch != nil {
+		s.batch.Flush()
+	}
 	ctr := s.Counters()
 	d := ctr.Sub(s.lastCtr)
 	demand := s.demandBytes - s.lastDemand

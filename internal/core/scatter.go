@@ -30,22 +30,36 @@ const (
 	batchLineMask = uint64(mem.Line - 1)
 )
 
-// batchFlushOps caps the pending-operation buffer; appending past the
-// cap flushes automatically, so callers only need a final Flush.
-const batchFlushOps = 1 << 20
-
-// batchChunk is the filter's granularity: Flush filters at most
-// batchChunk pending operations at a time and hands their requests to
-// the memory in one LLCScatter call, so the request buffer is a fixed
-// 2*batchChunk (a miss may emit a victim writeback and a fill read).
+// batchChunk is the builder's capacity and the filter's granularity:
+// Batch holds at most batchChunk pending operations, and a full chunk
+// is filtered and handed to the memory in one LLCScatter call on the
+// next append, so both buffers are fixed arrays (the request buffer is
+// 2*batchChunk: a miss may emit a victim writeback and a fill read).
 const batchChunk = 1 << 12
+
+// batchSampleOps is the telemetry cadence of the batched path: a
+// System with a sink samples after every batchSampleOps appended
+// operations and at every Flush. It is independent of batchChunk, so
+// the chunk size does not move the sampling points.
+const batchSampleOps = 1 << 20
 
 // Batch accumulates demand operations for bulk dispatch. Obtain one
 // with System.Batch; the zero value is not usable.
+//
+// Appended operations reach the LLC and the memory only when their
+// chunk is dispatched: when it fills, at Flush, or at the System's
+// Sync and DrainLLC, which flush first. Per-line calls, Range forms
+// and counter reads must not be mixed with unflushed Batch operations:
+// they would run ahead of them.
 type Batch struct {
-	sys  *System
-	ops  []uint64
-	reqs [2 * batchChunk]imc.Req
+	sys *System
+	// n counts the pending operations in ops[:n].
+	n uint
+	// chunks counts the full chunks dispatched since the last sample
+	// point (batchSampleOps/batchChunk of them make one).
+	chunks uint
+	ops    [batchChunk]uint64
+	reqs   [2 * batchChunk]imc.Req
 }
 
 // Batch returns the system-owned batch builder, creating it on first
@@ -54,44 +68,55 @@ type Batch struct {
 // for concurrent use and neither is its builder.
 func (s *System) Batch() *Batch {
 	if s.batch == nil {
-		s.batch = &Batch{sys: s, ops: make([]uint64, 0, batchFlushOps)}
+		s.batch = &Batch{sys: s}
 	}
 	return s.batch
 }
 
-// add appends one operation, flushing at the buffer cap. With a tap
-// installed the pending buffer drains and the operation takes the
-// per-line path, so taps observe the stream exactly as generated.
-// The body is only the append so it inlines into the per-op generator
-// loops; the tap and buffer-full cases are outlined in addSlow.
+// add appends one operation. With a tap installed the pending chunk
+// drains and the operation takes the per-line path, so taps observe
+// the stream exactly as generated. The body is only the two checks
+// and the store; the tap and chunk-full cases are outlined in addSlow.
 //
-//alloc:free per-op append path; the ops buffer is preallocated at batchFlushOps capacity
+//alloc:free per-op append path; the ops buffer is a fixed array
 func (b *Batch) add(addr, op uint64) {
-	if b.sys.tap != nil || len(b.ops) >= batchFlushOps {
+	if b.sys.tap != nil || b.n >= batchChunk {
 		b.addSlow(addr, op)
 		return
 	}
-	b.ops = append(b.ops, addr&^batchLineMask|op)
+	b.ops[b.n] = addr&^batchLineMask | op
+	b.n++
 }
 
-// addSlow handles the cold cases of add: draining a full buffer, and
+// addSlow handles the cold cases of add: dispatching a full chunk
+// (sampling telemetry after every batchSampleOps operations), and
 // routing operations through the per-line path when a tap is installed.
 func (b *Batch) addSlow(addr, op uint64) {
-	b.Flush()
-	if b.sys.tap != nil {
+	s := b.sys
+	if s.tap != nil {
+		b.Flush()
 		switch op {
 		case batchOpLoad:
-			b.sys.Load(addr)
+			s.Load(addr)
 		case batchOpStore:
-			b.sys.Store(addr)
+			s.Store(addr)
 		case batchOpRMW:
-			b.sys.RMW(addr)
+			s.RMW(addr)
 		default:
-			b.sys.StoreNT(addr)
+			s.StoreNT(addr)
 		}
 		return
 	}
-	b.ops = append(b.ops, addr&^batchLineMask|op)
+	b.dispatch()
+	b.chunks++
+	if b.chunks == batchSampleOps/batchChunk {
+		b.chunks = 0
+		if s.tel.On() {
+			s.maybeSample()
+		}
+	}
+	b.ops[0] = addr&^batchLineMask | op
+	b.n = 1
 }
 
 // Load appends a demand load of the line containing addr.
@@ -111,29 +136,35 @@ func (b *Batch) LoadOrStore(addr, sel uint64) { b.add(addr, sel&batchOpStore) }
 // StoreNT appends a nontemporal store to the line containing addr.
 func (b *Batch) StoreNT(addr uint64) { b.add(addr, batchOpStoreNT) }
 
-// Flush dispatches all pending operations. Always call once after the
-// last append; intermediate flushes happen automatically.
+// Flush dispatches all pending operations. Call it once after the last
+// append (Sync and DrainLLC call it too); full chunks dispatch as they
+// fill.
 //
-// The chunks are byte-identical to one LLCScatter over the whole batch
-// because the LLC filter and the memory share no state, and the memory
-// services each call in slice order. Only sampling could tell them
-// apart: imc samples once per LLCScatter call, so a sink on the
+// Chunked dispatch is byte-identical to one LLCScatter over the whole
+// stream because the LLC filter and the memory share no state, and the
+// memory services each call in slice order. Only sampling could tell
+// them apart: imc samples once per LLCScatter call, so a sink on the
 // controller would see one sample per chunk. core never gives its
-// controller a sink (System samples at Flush instead); keep it so.
+// controller a sink (System samples every batchSampleOps operations
+// and at Flush instead); keep it so.
 //
 //alloc:free flush reuses the request buffer; 0 allocs/op by benchmark contract
 func (b *Batch) Flush() {
-	if len(b.ops) == 0 {
+	if b.n == 0 {
 		return
 	}
-	s := b.sys
-	for off := 0; off < len(b.ops); off += batchChunk {
-		s.mc.LLCScatter(b.filter(b.ops[off:min(off+batchChunk, len(b.ops))]))
+	b.dispatch()
+	b.chunks = 0
+	if b.sys.tel.On() {
+		b.sys.maybeSample()
 	}
-	b.ops = b.ops[:0]
-	if s.tel.On() {
-		s.maybeSample()
-	}
+}
+
+// dispatch filters the pending operations and hands their requests to
+// the memory behind the LLC.
+func (b *Batch) dispatch() {
+	b.sys.mc.LLCScatter(b.filter(b.ops[:b.n]))
+	b.n = 0
 }
 
 // filter runs the LLC filter over at most batchChunk operations in

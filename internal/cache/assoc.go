@@ -19,9 +19,9 @@ import (
 // replacement. Ways=1 degenerates to a direct-mapped cache and is the
 // configuration matching the real hardware.
 //
-// Like DirectMapped, the tag array is a single flat []uint64 of packed
-// entry words (the ways of a set adjacent), so the Ways==1 hot path is
-// one load per probe and bucketed dispatch sweeps it sequentially.
+// The tag array is a single flat []uint64 of packed entry words (the
+// ways of a set adjacent), so the Ways==1 hot path is one load per
+// probe and bucketed dispatch sweeps it sequentially.
 // Each set keeps its ways in recency order, most recent first, with the
 // valid ways as a prefix: the order is the LRU state, so one packed
 // word per line is the whole store, and the same access sequence
@@ -74,17 +74,17 @@ func (c *Assoc) Lines() uint64 { return c.sets * c.ways }
 
 // index splits an address into set and tag. The set count is fixed at
 // construction, so the split uses a precomputed reciprocal instead of
-// two divide instructions — Probe runs once per simulated
-// demand line reaching the memory controller.
+// two divide instructions: it runs once per simulated demand line at
+// the on-chip LLC and again at the memory controller.
 func (c *Assoc) index(addr uint64) (set uint64, tag uint32) {
 	q, r := c.setsDiv.DivMod(addr >> mem.LineShift)
 	return r, uint32(q)
 }
 
-// Index splits an address into set and tag, for callers that walk
-// consecutive lines and advance the pair incrementally (the set of
-// line+1 is set+1 mod Sets, carrying into the tag) before probing with
-// ProbeAt.
+// Index splits an address into set and tag, for callers that probe by
+// pair (ProbeAt, or the DirectEntries word) and for walkers over
+// consecutive lines, which advance the pair incrementally (the set of
+// line+1 is set+1 mod Sets, carrying into the tag).
 func (c *Assoc) Index(addr uint64) (set uint64, tag uint32) {
 	return c.index(addr)
 }
@@ -98,8 +98,8 @@ func (c *Assoc) Index(addr uint64) (set uint64, tag uint32) {
 // Ways==1 — the hardware configuration every headline experiment runs —
 // takes a specialized path: the single way is the hit candidate and the
 // victim at once, and the handle is the set. Results and victim
-// selection are identical to the generic path (the direct-mapped
-// equivalence test pins this).
+// selection are those of the stamp-clock LRU reference model at
+// Ways=1 too (TestAssocMatchesStampLRU pins this).
 func (c *Assoc) Probe(addr uint64) (handle uint64, res LookupResult) {
 	set, tag := c.index(addr)
 	return c.ProbeAt(set, tag)
@@ -224,7 +224,18 @@ func (c *Assoc) DirectEntries() []uint64 {
 // words most-recent-first ahead of its previous first Ways-k ways.
 func (c *Assoc) StampSeqRun(set uint64, tag uint32, count, flags uint64) {
 	if c.ways == 1 {
-		stampSeqRun(c.entries, c.sets, set, tag, count, flags)
+		// One packed-word store per set, with the tag carry folded
+		// into the wrap branch.
+		w := packEntry(tag, flags)
+		for i := uint64(0); i < count; i++ {
+			c.entries[set] = w
+			set++
+			if set == c.sets {
+				set = 0
+				tag++
+				w = packEntry(tag, flags)
+			}
+		}
 		return
 	}
 	q, r := c.setsDiv.DivMod(count)
@@ -242,22 +253,6 @@ func (c *Assoc) StampSeqRun(set uint64, tag uint32, count, flags uint64) {
 		if set == c.sets {
 			set = 0
 			tag++
-		}
-	}
-}
-
-// stampSeqRun is the shared bulk-stamp kernel of Assoc.StampSeqRun and
-// DirectMapped.StampSeqRun: one packed-word store per set, with the tag
-// carry folded into the wrap branch.
-func stampSeqRun(entries []uint64, sets, set uint64, tag uint32, count, flags uint64) {
-	w := packEntry(tag, flags)
-	for i := uint64(0); i < count; i++ {
-		entries[set] = w
-		set++
-		if set == sets {
-			set = 0
-			tag++
-			w = packEntry(tag, flags)
 		}
 	}
 }

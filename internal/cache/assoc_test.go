@@ -51,13 +51,16 @@ func TestNewAssocValidation(t *testing.T) {
 	if _, err := NewAssoc(0, 1); err == nil {
 		t.Error("0 capacity accepted")
 	}
+	if _, err := NewAssoc(100, 1); err == nil {
+		t.Error("non-line-multiple capacity accepted")
+	}
 	if _, err := NewAssoc(mem.KiB, 3); err == nil {
 		// 1 KiB = 16 lines, not a multiple of 3 ways.
 		t.Error("non-dividing ways accepted")
 	}
 	c := newAssoc(t, 4*mem.KiB, 4)
-	if c.Sets() != 16 || c.Ways() != 4 || c.Lines() != 64 {
-		t.Errorf("sets=%d ways=%d lines=%d", c.Sets(), c.Ways(), c.Lines())
+	if c.Sets() != 16 || c.Ways() != 4 || c.Lines() != 64 || c.Capacity() != 4*mem.KiB {
+		t.Errorf("sets=%d ways=%d lines=%d capacity=%d", c.Sets(), c.Ways(), c.Lines(), c.Capacity())
 	}
 }
 
@@ -256,49 +259,12 @@ func TestAssocForEachDirtyAndReset(t *testing.T) {
 			t.Errorf("missing dirty line %#x", a)
 		}
 	}
-	if c.DirtyLines() != uint64(len(want)) {
-		t.Errorf("DirtyLines = %d", c.DirtyLines())
+	if c.DirtyLines() != uint64(len(want)) || c.ValidLines() != 6 {
+		t.Errorf("DirtyLines = %d, ValidLines = %d", c.DirtyLines(), c.ValidLines())
 	}
 	c.Reset()
 	if c.ValidLines() != 0 || c.DirtyLines() != 0 {
 		t.Error("Reset left lines")
-	}
-}
-
-// TestWays1MatchesDirectMapped: the degenerate Assoc behaves exactly
-// like the DirectMapped implementation on a shared random workload.
-func TestWays1MatchesDirectMapped(t *testing.T) {
-	dm := newCache(t, 2*mem.KiB)
-	as := newAssoc(t, 2*mem.KiB, 1)
-	// Same geometry.
-	if dm.Sets() != as.Sets() {
-		t.Fatalf("geometries differ: %d vs %d sets", dm.Sets(), as.Sets())
-	}
-	seed := uint64(12345)
-	for i := 0; i < 5000; i++ {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		addr := (seed % (64 * dm.Sets())) * mem.Line
-		write := seed&(1<<63) != 0
-
-		_, _, dres := dm.Lookup(addr)
-		ah, ares := as.Probe(addr)
-		if dres != ares {
-			t.Fatalf("op %d: results diverge: dm=%v assoc=%v", i, dres, ares)
-		}
-		if dres != Hit {
-			set, tag := dm.Index(addr)
-			dm.Insert(set, tag)
-			install(as, ah, addr)
-		}
-		if write {
-			set, _ := dm.Index(addr)
-			dm.MarkDirty(set)
-			setFlags(as, ah, EntryDirty)
-		}
-	}
-	if dm.DirtyLines() != as.DirtyLines() || dm.ValidLines() != as.ValidLines() {
-		t.Errorf("final states diverge: dirty %d/%d valid %d/%d",
-			dm.DirtyLines(), as.DirtyLines(), dm.ValidLines(), as.ValidLines())
 	}
 }
 
@@ -368,10 +334,12 @@ func (m *stampLRU) victimAddr(handle uint64) (uint64, bool) {
 // programs through Assoc and the stamp-clock reference at several
 // associativities, on few sets so most probes conflict, and demands the
 // same result, victim address, dirty bit and word at every probe, and
-// the same dirty lines at the end.
+// the same dirty lines at the end. Direct mapped, the programs also
+// invalidate hits (what the on-chip LLC does for a nontemporal store;
+// with Ways>1 only Reset invalidates), and the handle must be the set.
 func TestAssocMatchesStampLRU(t *testing.T) {
 	const sets = 5
-	for _, ways := range []uint64{2, 3, 4, 8} {
+	for _, ways := range []uint64{1, 2, 3, 4, 8} {
 		c := newAssoc(t, sets*ways*mem.Line, int(ways))
 		ref := newStampLRU(sets, ways)
 		rng := rand.New(rand.NewSource(int64(ways)))
@@ -385,6 +353,9 @@ func TestAssocMatchesStampLRU(t *testing.T) {
 			if res != rres || va != ra || vok != rok || c.IsDirty(h) != refDirty || c.Entry(h) != ref.entries[rh] {
 				t.Fatalf("ways %d op %d addr %#x: Assoc %v victim %#x/%v word %#x, reference %v victim %#x/%v word %#x",
 					ways, i, addr, res, va, vok, c.Entry(h), rres, ra, rok, ref.entries[rh])
+			}
+			if ways == 1 && h != rh {
+				t.Fatalf("op %d addr %#x: handle %d, want set %d", i, addr, h, rh)
 			}
 			switch op := rng.Intn(4); {
 			case res != Hit && op < 3:
@@ -401,6 +372,9 @@ func TestAssocMatchesStampLRU(t *testing.T) {
 				}
 				c.Store(h, w, false)
 				ref.store(rh, w, false)
+			case res == Hit && op == 3 && ways == 1:
+				c.Store(h, 0, false)
+				ref.store(rh, 0, false)
 			}
 		}
 		got, want := map[uint64]bool{}, map[uint64]bool{}

@@ -7,182 +7,86 @@ import (
 	"twolm/internal/mem"
 )
 
-func newCache(t *testing.T, capacity uint64) *DirectMapped {
-	t.Helper()
-	c, err := New(capacity)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestNewValidation(t *testing.T) {
-	if _, err := New(0); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := New(100); err == nil {
-		t.Error("non-line-multiple capacity accepted")
-	}
-	c := newCache(t, 64*mem.KiB)
-	if c.Sets() != 1024 || c.Capacity() != 64*mem.KiB {
-		t.Errorf("sets = %d, capacity = %d", c.Sets(), c.Capacity())
-	}
-}
-
+// TestIndexRoundTrip: the reciprocal set/tag split inverts exactly on
+// a non-power-of-two set count, for line numbers up to 2^32.
 func TestIndexRoundTrip(t *testing.T) {
-	c := newCache(t, 64*mem.KiB)
-	f := func(lineRaw uint32) bool {
-		addr := uint64(lineRaw) << mem.LineShift
-		set, tag := c.Index(addr)
-		reconstructed := (uint64(tag)*c.Sets() + set) << mem.LineShift
-		return reconstructed == addr && set < c.Sets()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestColdLookupIsCleanMiss(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	_, _, res := c.Lookup(0)
-	if res != MissClean {
-		t.Errorf("cold lookup = %v, want miss-clean", res)
-	}
-}
-
-func TestHitAfterInsert(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	addr := uint64(5 * mem.Line)
-	set, tag, _ := c.Lookup(addr)
-	c.Insert(set, tag)
-	if _, _, res := c.Lookup(addr); res != Hit {
-		t.Errorf("lookup after insert = %v, want hit", res)
-	}
-}
-
-// TestDirectMappedAliasing: two addresses capacity apart map to the
-// same set and evict each other.
-func TestDirectMappedAliasing(t *testing.T) {
-	c := newCache(t, mem.KiB) // 16 sets
-	a := uint64(3 * mem.Line)
-	b := a + c.Capacity() // same set, different tag
-	setA, tagA, _ := c.Lookup(a)
-	setB, tagB, _ := c.Lookup(b)
-	if setA != setB {
-		t.Fatalf("aliasing addresses landed in different sets %d, %d", setA, setB)
-	}
-	if tagA == tagB {
-		t.Fatal("aliasing addresses share a tag")
-	}
-	c.Insert(setA, tagA)
-	if _, _, res := c.Lookup(b); res != MissClean {
-		t.Errorf("clean occupant: lookup of alias = %v, want miss-clean", res)
-	}
-	c.MarkDirty(setA)
-	if _, _, res := c.Lookup(b); res != MissDirty {
-		t.Errorf("dirty occupant: lookup of alias = %v, want miss-dirty", res)
-	}
-	// Still a hit for the occupant itself.
-	if _, _, res := c.Lookup(a); res != Hit {
-		t.Errorf("occupant lookup = %v, want hit", res)
-	}
-}
-
-func TestVictimAddr(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	if _, ok := c.VictimAddr(0); ok {
-		t.Error("invalid set reported a victim")
-	}
-	addr := uint64(7*mem.Line) + 3*c.Capacity()
-	set, tag, _ := c.Lookup(addr)
-	c.Insert(set, tag)
-	victim, ok := c.VictimAddr(set)
-	if !ok || victim != addr {
-		t.Errorf("VictimAddr = %#x, %v; want %#x, true", victim, ok, addr)
-	}
-}
-
-func TestInsertResetsDirtyAndOwned(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	set, tag, _ := c.Lookup(0)
-	c.Insert(set, tag)
-	c.MarkDirty(set)
-	c.SetLLCOwned(set, true)
-	// Alias insert replaces the line; state must reset.
-	c.Insert(set, tag+1)
-	if c.IsDirty(set) {
-		t.Error("insert did not clear dirty")
-	}
-	if c.LLCOwned(set) {
-		t.Error("insert did not clear LLC-owned")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	set, tag, _ := c.Lookup(0)
-	c.Insert(set, tag)
-	c.MarkDirty(set)
-	c.Invalidate(set)
-	if _, _, res := c.Lookup(0); res != MissClean {
-		t.Errorf("lookup after invalidate = %v, want miss-clean", res)
-	}
-	if c.IsDirty(set) {
-		t.Error("invalidate left dirty bit")
-	}
-}
-
-func TestLLCOwnedFlag(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	set, tag, _ := c.Lookup(0)
-	c.Insert(set, tag)
-	if c.LLCOwned(set) {
-		t.Error("fresh line owned")
-	}
-	c.SetLLCOwned(set, true)
-	if !c.LLCOwned(set) {
-		t.Error("SetLLCOwned(true) had no effect")
-	}
-	c.SetLLCOwned(set, false)
-	if c.LLCOwned(set) {
-		t.Error("SetLLCOwned(false) had no effect")
-	}
-}
-
-func TestDirtyAndValidCounts(t *testing.T) {
-	c := newCache(t, mem.KiB)
-	for i := uint64(0); i < 8; i++ {
-		set, tag, _ := c.Lookup(i * mem.Line)
-		c.Insert(set, tag)
-		if i%2 == 0 {
-			c.MarkDirty(set)
+	for _, ways := range []int{1, 4} {
+		c := newAssoc(t, uint64(ways)*528*mem.Line, ways)
+		f := func(lineRaw uint32) bool {
+			addr := uint64(lineRaw) << mem.LineShift
+			set, tag := c.Index(addr)
+			reconstructed := (uint64(tag)*c.Sets() + set) << mem.LineShift
+			return reconstructed == addr && set < c.Sets()
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("ways %d: %v", ways, err)
 		}
 	}
-	if got := c.ValidLines(); got != 8 {
-		t.Errorf("ValidLines = %d, want 8", got)
+}
+
+// TestHitAfterInsert: a word installed through DirectEntries, as
+// core's LLC step installs, is a hit for Probe at the set's handle;
+// with Ways>1 there is no direct word array.
+func TestHitAfterInsert(t *testing.T) {
+	c := newAssoc(t, 33*mem.Line, 1)
+	addr := uint64(40 * mem.Line) // set 7, tag 1
+	set, tag := c.Index(addr)
+	c.DirectEntries()[set] = PackEntry(tag, EntryValid|EntryDirty)
+	h, res := c.Probe(addr)
+	if res != Hit || h != set || !c.IsDirty(h) {
+		t.Errorf("probe after word install = handle %d %v dirty %v, want handle %d hit dirty", h, res, c.IsDirty(h), set)
 	}
-	if got := c.DirtyLines(); got != 4 {
-		t.Errorf("DirtyLines = %d, want 4", got)
+	if got, ok := c.VictimAddr(h); !ok || got != addr {
+		t.Errorf("VictimAddr = %#x, %v; want %#x, true", got, ok, addr)
 	}
-	c.Reset()
-	if c.ValidLines() != 0 || c.DirtyLines() != 0 {
-		t.Error("Reset left valid or dirty lines")
+	if newAssoc(t, 32*mem.Line, 2).DirectEntries() != nil {
+		t.Error("2-way store exposed a direct word array")
+	}
+}
+
+// TestInvalidate: zeroing a dirty word through DirectEntries, as core's
+// nontemporal-store step does, leaves a clean miss with no victim and
+// no valid or dirty line.
+func TestInvalidate(t *testing.T) {
+	c := newAssoc(t, mem.KiB, 1)
+	h, _ := c.Probe(0)
+	install(c, h, 0)
+	setFlags(c, h, EntryDirty)
+	c.DirectEntries()[h] = 0
+	if _, res := c.Probe(0); res != MissClean {
+		t.Errorf("probe after invalidate = %v, want miss-clean", res)
+	}
+	if _, ok := c.VictimAddr(h); ok || c.IsDirty(h) || c.ValidLines() != 0 || c.DirtyLines() != 0 {
+		t.Error("invalidate left a valid or dirty line")
 	}
 }
 
 // TestFullCoverageNoAliasing: filling exactly the capacity with a
-// contiguous array leaves every lookup a hit (the paper's 51 GiB-array
-// hit benchmark relies on this).
+// contiguous array leaves every probe a hit (the paper's 51 GiB-array
+// hit benchmark relies on this), whether the lines are installed one by
+// one or stamped by one StampSeqRun that wraps the set index.
 func TestFullCoverageNoAliasing(t *testing.T) {
-	c := newCache(t, 4*mem.KiB)
-	lines := c.Sets()
-	for i := uint64(0); i < lines; i++ {
-		set, tag, _ := c.Lookup(i * mem.Line)
-		c.Insert(set, tag)
-	}
-	for i := uint64(0); i < lines; i++ {
-		if _, _, res := c.Lookup(i * mem.Line); res != Hit {
-			t.Fatalf("line %d: %v, want hit", i, res)
+	const base = 5 * mem.Line
+	for _, ways := range []int{1, 2, 4} {
+		for _, stamp := range []bool{false, true} {
+			c := newAssoc(t, uint64(ways)*33*mem.Line, ways)
+			lines := c.Lines()
+			if stamp {
+				set, tag := c.Index(base)
+				c.StampSeqRun(set, tag, lines, EntryValid)
+			} else {
+				for i := uint64(0); i < lines; i++ {
+					addr := base + i*mem.Line
+					if h, res := c.Probe(addr); res != Hit {
+						install(c, h, addr)
+					}
+				}
+			}
+			for i := uint64(0); i < lines; i++ {
+				if _, res := c.Probe(base + i*mem.Line); res != Hit {
+					t.Fatalf("ways %d stamp %v: line %d: %v, want hit", ways, stamp, i, res)
+				}
+			}
 		}
 	}
 }

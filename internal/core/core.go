@@ -98,10 +98,13 @@ type System struct {
 	dramMod  *dram.Module
 	nvramMod *nvram.Module
 
-	// llc models the on-chip cache in front of the IMC: direct mapped,
-	// line granular. It exists to (a) coalesce repeated touches and
-	// (b) delay standard-store writebacks, which is what enables DDO.
-	llc *cache.DirectMapped
+	// llc models the on-chip cache in front of the memory: a direct
+	// mapped (Ways=1) cache.Assoc, line granular, which core reads and
+	// writes as packed words through DirectEntries. It exists to
+	// (a) coalesce repeated touches and (b) delay standard-store
+	// writebacks, which is what enables DDO. It is held by value, so
+	// the per-line step reaches its words without a pointer load.
+	llc cache.Assoc
 
 	// Traffic descriptors for the bandwidth model.
 	pattern mem.Pattern
@@ -162,7 +165,7 @@ func New(cfg Config) (*System, error) {
 	if llcCap < mem.Line {
 		llcCap = mem.Line
 	}
-	llc, err := cache.New(llcCap)
+	llc, err := cache.NewAssoc(llcCap, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +176,7 @@ func New(cfg Config) (*System, error) {
 		space:    platform.NewAddressSpace(cfg.Platform, cfg.Mode == Mode2LM),
 		dramMod:  dramMod,
 		nvramMod: nvramMod,
-		llc:      llc,
+		llc:      *llc,
 		pattern:  mem.Sequential,
 		gran:     mem.Line,
 		threads:  cfg.Platform.Threads,
@@ -306,22 +309,55 @@ func nopTap(TapOp, uint64) {}
 // writing back the victim if dirty. dirty marks the new line's state
 // (false for loads, true for stores and RMW).
 func (s *System) llcTouch(addr uint64, dirty bool) {
-	set, tag, res := s.llc.Lookup(addr)
-	if res == cache.Hit {
-		if dirty {
-			s.llc.MarkDirty(set)
-		}
+	set, tag := s.llc.Index(addr)
+	s.llcTouchAt(set, tag, addr, dirty)
+}
+
+// llcHit reports whether the packed LLC word e holds tag, whatever its
+// dirty and LLC-owned bits.
+func llcHit(e uint64, tag uint32) bool {
+	return e&^(cache.EntryDirty|cache.EntryLLCOwned) == cache.PackEntry(tag, cache.EntryValid)
+}
+
+// llcDirty reports whether the packed LLC word e is valid and dirty.
+func llcDirty(e uint64) bool {
+	return e&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty
+}
+
+// llcLineAddr is the address of the line the packed LLC word e holds
+// in set.
+func llcLineAddr(e, set, sets uint64) uint64 {
+	return (uint64(cache.EntryTagOf(e))*sets + set) << mem.LineShift
+}
+
+// llcTouchAt is the per-line LLC step for addr's (set, tag) pair, on
+// the set's packed word: a hit only ORs in the dirty bit; a miss writes
+// back a dirty victim, reads addr's line and installs it (clearing the
+// LLC-owned bit). Batch.filter is the predicated form of this step.
+func (s *System) llcTouchAt(set uint64, tag uint32, addr uint64, dirty bool) {
+	words := s.llc.DirectEntries()
+	e := words[set]
+	var dbit uint64
+	if dirty {
+		dbit = cache.EntryDirty
+	}
+	if llcHit(e, tag) {
+		words[set] = e | dbit
 		return // on-chip hit: no memory traffic
 	}
-	if res == cache.MissDirty {
-		if victim, ok := s.llc.VictimAddr(set); ok {
-			s.mc.LLCWrite(victim)
-		}
+	if llcDirty(e) {
+		s.mc.LLCWrite(llcLineAddr(e, set, s.llc.Sets()))
 	}
 	s.mc.LLCRead(addr)
-	s.llc.Insert(set, tag)
-	if dirty {
-		s.llc.MarkDirty(set)
+	words[set] = cache.PackEntry(tag, cache.EntryValid|dbit)
+}
+
+// llcDropAt invalidates the on-chip copy of the (set, tag) line, if
+// resident, without writing it back: what a nontemporal store does.
+func (s *System) llcDropAt(set uint64, tag uint32) {
+	words := s.llc.DirectEntries()
+	if llcHit(words[set], tag) {
+		words[set] = 0
 	}
 }
 
@@ -363,11 +399,8 @@ func (s *System) StoreNT(addr uint64) {
 		s.tap(TapStoreNT, addr)
 	}
 	s.demandBytes += mem.Line
-	set, _, res := s.llc.Lookup(addr)
-	if res == cache.Hit {
-		// NT stores invalidate a cached copy without writing it back.
-		s.llc.Invalidate(set)
-	}
+	set, tag := s.llc.Index(addr)
+	s.llcDropAt(set, tag)
 	s.mc.LLCWrite(addr)
 }
 
@@ -380,33 +413,16 @@ func (s *System) StoreNT(addr uint64) {
 // observes every operation; counter results are byte-identical either
 // way (the differential tests in fastpath_test.go pin this).
 
-// rangeTouch is llcTouch unrolled over every line of r. Consecutive
-// lines map to consecutive on-chip sets, so the set/tag pair advances
-// incrementally — one division at the range start instead of one per
-// line. The per-line outcomes are identical to calling llcTouch on
-// each line in ascending order.
+// rangeTouch is llcTouch over every line of r in ascending order.
+// Consecutive lines map to consecutive on-chip sets, so the set/tag
+// pair advances incrementally: one division at the range start instead
+// of one per line.
 func (s *System) rangeTouch(r mem.Region, dirty bool) {
 	sets := s.llc.Sets()
 	set, tag := s.llc.Index(r.Base)
 	end := r.End()
 	for a := r.Base; a < end; a += mem.Line {
-		res := s.llc.LookupAt(set, tag)
-		if res == cache.Hit {
-			if dirty {
-				s.llc.MarkDirty(set)
-			}
-		} else {
-			if res == cache.MissDirty {
-				if victim, ok := s.llc.VictimAddr(set); ok {
-					s.mc.LLCWrite(victim)
-				}
-			}
-			s.mc.LLCRead(a)
-			s.llc.Insert(set, tag)
-			if dirty {
-				s.llc.MarkDirty(set)
-			}
-		}
+		s.llcTouchAt(set, tag, a, dirty)
 		set++
 		if set == sets {
 			set, tag = 0, tag+1
@@ -513,9 +529,7 @@ func (s *System) StoreNTRange(r mem.Region) {
 	set, tag := s.llc.Index(r.Base)
 	end := r.End()
 	for a := r.Base; a < end; a += mem.Line {
-		if s.llc.LookupAt(set, tag) == cache.Hit {
-			s.llc.Invalidate(set)
-		}
+		s.llcDropAt(set, tag)
 		set++
 		if set == sets {
 			set, tag = 0, tag+1
@@ -579,11 +593,9 @@ func (s *System) DrainLLC() {
 		s.batch.Flush()
 	}
 	sets := s.llc.Sets()
-	for set := uint64(0); set < sets; set++ {
-		if s.llc.IsDirty(set) {
-			if victim, ok := s.llc.VictimAddr(set); ok {
-				s.mc.LLCWrite(victim)
-			}
+	for set, e := range s.llc.DirectEntries() {
+		if llcDirty(e) {
+			s.mc.LLCWrite(llcLineAddr(e, uint64(set), sets))
 		}
 	}
 	s.llc.Reset()

@@ -201,7 +201,7 @@ func (b *Batch) filter(ops []uint64) []imc.Req {
 		e := words[set]
 		if op == batchOpStoreNT {
 			bytes += mem.Line
-			if e&^(cache.EntryDirty|cache.EntryLLCOwned) == cache.PackEntry(tag, cache.EntryValid) {
+			if llcHit(e, tag) {
 				// NT stores invalidate a cached copy without
 				// writing it back.
 				words[set] = 0
@@ -214,16 +214,16 @@ func (b *Batch) filter(ops []uint64) []imc.Req {
 		dbit := ((op | op>>1) & 1) << 1      // cache.EntryDirty on stores and RMWs
 
 		var hit, dv uint64
-		if e&^(cache.EntryDirty|cache.EntryLLCOwned) == cache.PackEntry(tag, cache.EntryValid) {
+		if llcHit(e, tag) {
 			hit = 1
 		}
-		if e&(cache.EntryValid|cache.EntryDirty) == cache.EntryValid|cache.EntryDirty {
+		if llcDirty(e) {
 			dv = 1 - hit // miss evicting a dirty victim
 		}
 
 		// Victim writeback (if any) precedes the demand read; a
 		// hit contributes nothing and both stores are overwritten.
-		rq[idx] = imc.WriteReq((uint64(cache.EntryTagOf(e))*sets + set) << mem.LineShift)
+		rq[idx] = imc.WriteReq(llcLineAddr(e, set, sets))
 		idx += int(dv)
 		rq[idx] = imc.ReadReq(addr)
 		idx += int(1 - hit)

@@ -21,10 +21,9 @@
 // -out writes the replay's counter summary and sampled telemetry
 // series as artifacts into the given directory, and -metrics-addr
 // serves live counters in Prometheus exposition format at /metrics,
-// sampled every 64Ki demand lines. It has no -parallel or
-// -channels: trace replay is inherently serial (operation order is the
-// whole point), and the modeled Cascade Lake platform fixes the
-// channel count.
+// sampled every 64Ki demand lines. It has no -parallel: trace replay
+// is inherently serial (operation order is the whole point). The
+// modeled Cascade Lake platform fixes the channel count.
 package main
 
 import (

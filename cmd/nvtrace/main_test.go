@@ -62,8 +62,8 @@ func TestFlagSurface(t *testing.T) {
 
 // TestFlagValidation pins that malformed shared flags are rejected by
 // the same runcfg validation every binary uses, that the suite-only
-// -parallel and -channels are rejected as unknown flags, and that the
-// record/replay mode selection is enforced.
+// -parallel and the retired -channels are rejected as unknown flags,
+// and that the record/replay mode selection is enforced.
 func TestFlagValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name string

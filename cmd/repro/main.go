@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	repro [-out results] [-scale 1024] [-quick] [-parallel N] [-channels N]
+//	repro [-out results] [-scale 1024] [-quick] [-parallel N]
 //	      [-experiment all|name,name,...] [-job spec.json]
 //	      [-metrics-addr host:port] [-cpuprofile f] [-memprofile f]
 //
@@ -13,10 +13,9 @@
 // EXPERIMENTS.md. -parallel runs the experiment suite on N workers
 // (default: one per CPU); artifacts and report order are identical at
 // every worker count because each experiment builds its own system and
-// outcomes are merged by job order, not completion order. -channels
-// sets the IMC channel count of the multichannel self-check (default
-// 6, the Cascade Lake socket); a count that does not split the cache
-// into whole sets per channel fails before any experiment runs.
+// outcomes are merged by job order, not completion order. The
+// multichannel self-check runs at the Cascade Lake socket's six IMC
+// channels.
 //
 // -experiment selects suite jobs by name, comma-separated, from the
 // list EXPERIMENTS.md documents (fig2a_nvram_read_bw, fig5_densenet,
@@ -31,8 +30,8 @@
 // examples/sweep_default.json (288 points) and examples/sweep_quick.json
 // (48 points). It writes job_results.{csv,json} under -out, using
 // -parallel workers. The file defines the whole run, so -job rejects
-// an explicitly set -scale, -quick, -channels, -metrics-addr or
-// -experiment rather than ignore it.
+// an explicitly set -scale, -quick, -metrics-addr or -experiment
+// rather than ignore it.
 //
 // -metrics-addr serves the run live in Prometheus text exposition
 // format at http://host:port/metrics: job-completion progress gauges,
@@ -72,7 +71,7 @@ const allExperiments = "all"
 
 // jobBypassed names the flags a -job run has no use for: the jobspec
 // file sets the geometry, footprint and selection they would set.
-var jobBypassed = []string{"scale", "quick", "channels", "metrics-addr", "experiment"}
+var jobBypassed = []string{"scale", "quick", "metrics-addr", "experiment"}
 
 // options is the parsed command line: the shared runcfg block plus the
 // repro-only flags.
@@ -207,10 +206,6 @@ func (o *options) run() error {
 		return runJob(rc, js)
 	}
 	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
-	cfg.Multi.Channels = rc.Channels
-	if err := cfg.Multi.Validate(); err != nil {
-		return fmt.Errorf("-channels %d: %w", rc.Channels, err)
-	}
 	prom, err := rc.Metrics()
 	if err != nil {
 		return err

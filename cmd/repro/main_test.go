@@ -18,7 +18,6 @@ func TestFlagSurface(t *testing.T) {
 		"-scale", "2048",
 		"-quick",
 		"-parallel", "3",
-		"-channels", "3",
 		"-metrics-addr", "127.0.0.1:0",
 		"-job", "spec.json",
 		"-experiment", "fig2a_nvram_read_bw,claims_check",
@@ -30,13 +29,13 @@ func TestFlagSurface(t *testing.T) {
 	}
 	rc := o.rc
 	if rc.Out != "artifacts" || rc.Scale != 2048 || !rc.Quick || rc.Parallel != 3 ||
-		rc.Channels != 3 || rc.MetricsAddr != "127.0.0.1:0" || rc.Job != "spec.json" {
+		rc.MetricsAddr != "127.0.0.1:0" || rc.Job != "spec.json" {
 		t.Errorf("shared flags misparsed: %+v", rc)
 	}
 	if o.experiment != "fig2a_nvram_read_bw,claims_check" || o.cpuprofile != "cpu.out" || o.memprofile != "mem.out" {
 		t.Errorf("repro flags misparsed: %+v", o)
 	}
-	if want := []string{"-channels", "-experiment", "-metrics-addr", "-quick", "-scale"}; !slices.Equal(o.bypassed, want) {
+	if want := []string{"-experiment", "-metrics-addr", "-quick", "-scale"}; !slices.Equal(o.bypassed, want) {
 		t.Errorf("bypassed = %q, want %q", o.bypassed, want)
 	}
 
@@ -50,14 +49,15 @@ func TestFlagSurface(t *testing.T) {
 	if d.bypassed != nil {
 		t.Errorf("defaults recorded as explicitly set: %q", d.bypassed)
 	}
-	if _, err := parseFlags([]string{"-small-scale", "14"}); err == nil {
-		t.Error("unknown flag accepted")
+	for _, retired := range [][]string{{"-small-scale", "14"}, {"-channels", "6"}} {
+		if _, err := parseFlags(retired); err == nil {
+			t.Errorf("unknown flag %s accepted", retired[0])
+		}
 	}
 }
 
 // TestFlagValidation: bad input fails before any experiment runs and
-// before the output directory exists — malformed shared flags, a
-// channel count that does not split the cache into whole sets, an
+// before the output directory exists — malformed shared flags, an
 // unknown experiment name, and any flag -job bypasses given beside
 // -job.
 func TestFlagValidation(t *testing.T) {
@@ -69,18 +69,14 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"bad-scale", []string{"-quick", "-scale", "1000"}, "power of two"},
 		{"bad-parallel", []string{"-quick", "-parallel", "0"}, "-parallel"},
-		{"bad-channels", []string{"-quick", "-channels", "-2"}, "-channels"},
-		{"channels-5", []string{"-quick", "-channels", "5"}, "5 channels"},
-		{"channels-7", []string{"-quick", "-channels", "7"}, "7 channels"},
 		{"unknown-experiment", []string{"-quick", "-experiment", "fig2a_nvram_read_bw,fig3"}, `unknown name "fig3"`},
 		{"empty-experiment", []string{"-quick", "-experiment", ""}, `unknown name ""`},
 		{"experiment-with-job", []string{"-experiment", "claims_check", "-job", job}, "-experiment cannot be combined with -job"},
 		{"all-experiments-with-job", []string{"-experiment", allExperiments, "-job", job}, "-experiment cannot be combined with -job"},
 		{"scale-with-job", []string{"-scale", "512", "-job", job}, "-scale cannot be combined with -job"},
 		{"quick-with-job", []string{"-job", job, "-quick"}, "-quick cannot be combined with -job"},
-		{"channels-with-job", []string{"-job", job, "-channels", "5"}, "-channels cannot be combined with -job"},
 		{"metrics-addr-with-job", []string{"-job", job, "-metrics-addr", "127.0.0.1:0"}, "-metrics-addr cannot be combined with -job"},
-		{"several-with-job", []string{"-job", job, "-quick", "-channels", "5"}, "-channels, -quick cannot be combined with -job"},
+		{"several-with-job", []string{"-job", job, "-quick", "-scale", "512"}, "-quick, -scale cannot be combined with -job"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out := filepath.Join(t.TempDir(), "out")

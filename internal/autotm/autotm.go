@@ -21,6 +21,12 @@
 //   - consequently NVRAM writes happen (almost) only while stashing
 //     live activations during the forward pass, and NVRAM reads while
 //     restoring them during the backward pass (the paper's Figure 10).
+//
+// Execute (the online planner) and ExecuteStatic (an offline
+// StaticPlan) share one executor loop and differ only in placement:
+// how operands are staged before each kernel and retired after it.
+// Each kernel itself runs through compiler.Plan.RunKernel, the step
+// the 2LM executor takes.
 package autotm
 
 import (
@@ -78,7 +84,9 @@ type residency struct {
 	dramAddr uint64
 }
 
-// planner executes a plan with software-managed movement.
+// planner holds the executor state of one run: the plan, the system,
+// tensor residency and the move counters. It is also the online
+// placement (stage and retire below); the offline one wraps it.
 type planner struct {
 	plan *compiler.Plan
 	sys  *core.System
@@ -109,11 +117,37 @@ type planner struct {
 // already steady apart from the initial weight load, which is charged
 // to setup and excluded like the paper's warmup iterations).
 func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error) {
+	p, err := newPlanner(plan, sys, cfg, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Setup: pin the (small) weights in DRAM, excluded from the
+	// measured iteration like the paper's warmup.
+	for i := range plan.Bytes {
+		if plan.Prog.Tensors[i].Kind == nn.Weight {
+			if err := p.moveInTensor(i, 0, false, map[int]bool{i: true}); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return p.execute(p)
+}
+
+// newPlanner checks the system and budget, allocates the NVRAM home
+// and the DRAM pool, and sets the system's threads, traffic shape and
+// mover bandwidth. peak is a static plan's resident peak, checked
+// against the budget before anything is allocated; an online plan,
+// which fits as it goes, passes 0.
+func newPlanner(plan *compiler.Plan, sys *core.System, cfg Config, peak uint64) (*planner, error) {
 	if sys.Mode() != core.Mode1LM {
 		return nil, fmt.Errorf("autotm: requires a 1LM (app-direct) system, got %v", sys.Mode())
 	}
 	if cfg.DRAMBudget == 0 {
 		cfg.DRAMBudget = sys.Platform().DRAMSize() * 9 / 10
+	}
+	if peak > cfg.DRAMBudget {
+		return nil, fmt.Errorf("autotm: static plan peaks at %s, above the %s budget",
+			mem.FormatBytes(peak), mem.FormatBytes(cfg.DRAMBudget))
 	}
 
 	nvramHome, err := sys.AddressSpace().AllocNVRAM(plan.HeapSize)
@@ -150,32 +184,7 @@ func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error)
 	if cfg.Mover != nil {
 		sys.SetDMABandwidth(cfg.Mover.Bandwidth)
 	}
-
-	// Setup: pin the (small) weights in DRAM, excluded from the
-	// measured iteration like the paper's warmup.
-	for i := range plan.Bytes {
-		if plan.Prog.Tensors[i].Kind == nn.Weight {
-			if err := p.moveInTensor(i, 0, false, map[int]bool{i: true}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sys.Sync("setup", 0)
-	sys.ResetStats()
-
-	start := sys.Clock()
-	if err := p.run(); err != nil {
-		return nil, err
-	}
-
-	return &Result{
-		Elapsed:      sys.Clock() - start,
-		Counters:     sys.Counters(),
-		Series:       sys.Series(),
-		MoveInBytes:  p.moveIn,
-		MoveOutBytes: p.moveOut,
-		Spilled:      p.spills,
-	}, nil
+	return p, nil
 }
 
 // threads is the modeled worker count of the compute-time model
@@ -302,33 +311,27 @@ func (p *planner) moveInTensor(t, k int, fetch bool, keep map[int]bool) error {
 	return nil
 }
 
-// run executes every kernel with operands staged in DRAM.
-func (p *planner) run() error {
+// placement decides where tensors live around each kernel: stage
+// makes kernel ki's operands resident in DRAM before it runs, and
+// retire moves or drops them after. Each reports whether it copied
+// data. The online planner is one placement, staticPlacement the other.
+type placement interface {
+	stage(ki int) (moved bool, err error)
+	retire(ki int) (moved bool)
+}
+
+// execute measures one iteration: every kernel runs with its operands
+// staged in DRAM by pl, then the LLC drains.
+func (p *planner) execute(pl placement) (*Result, error) {
+	p.sys.Sync("setup", 0)
+	p.sys.ResetStats()
+	start := p.sys.Clock()
+	at := p.dramRegion
 	for ki := range p.plan.Prog.Kernels {
 		k := &p.plan.Prog.Kernels[ki]
-
-		// Stage operands. Everything the kernel touches must stay
-		// resident together.
-		keep := make(map[int]bool, len(k.Reads)+len(k.Writes))
-		for _, t := range k.Reads {
-			keep[t] = true
-		}
-		for _, t := range k.Writes {
-			keep[t] = true
-		}
-		movedBefore := p.moveIn + p.moveOut
-		for _, t := range k.Reads {
-			if err := p.moveInTensor(t, ki, true, keep); err != nil {
-				return err
-			}
-		}
-		for _, t := range k.Writes {
-			// First definition needs no fetch; rewrites of existing
-			// tensors (gradient accumulation) do, unless resident.
-			fetch := p.plan.FirstDef[t] != ki
-			if err := p.moveInTensor(t, ki, fetch, keep); err != nil {
-				return err
-			}
+		moved, err := pl.stage(ki)
+		if err != nil {
+			return nil, err
 		}
 		// CPU moves are synchronous: "tensors are usually moved between
 		// DRAM and NVRAM synchronously between compute kernel
@@ -336,38 +339,69 @@ func (p *planner) run() error {
 		// the kernel's compute. Engine moves stay in the kernel's
 		// interval, where Sync overlaps them with compute — the
 		// co-design payoff.
-		if p.cfg.Mover == nil && p.moveIn+p.moveOut > movedBefore {
+		if moved && p.cfg.Mover == nil {
 			p.sys.Sync("move:"+k.Name, 0)
 		}
-
-		// Execute the kernel against DRAM.
-		for _, t := range k.Reads {
-			p.sys.LoadRange(p.dramRegion(t))
-		}
+		p.plan.RunKernel(p.sys, ki, at, compiler.ExecConfig{Threads: threads}, true)
 		for _, t := range k.Writes {
-			p.sys.StoreRange(p.dramRegion(t))
-			p.state[t].dirty = true
+			p.state[t].resident, p.state[t].dirty = true, true
 		}
-		p.sys.AddInstructions(p.plan.KernelInstructions(ki))
-
-		phase := "fwd"
-		if ki >= p.plan.Prog.ForwardKernels {
-			phase = "bwd"
-		}
-		p.sys.Sync(phase+":"+k.Name, p.plan.KernelSeconds(ki, compiler.ExecConfig{Threads: threads}))
-
-		// Retire dead tensors immediately: their space frees with no
-		// write-back.
-		for _, t := range k.Reads {
-			p.retireIfDead(t, ki)
-		}
-		for _, t := range k.Writes {
-			p.retireIfDead(t, ki)
+		if pl.retire(ki) && p.cfg.Mover == nil {
+			p.sys.Sync("stash:"+k.Name, 0)
 		}
 	}
 	p.sys.DrainLLC()
 	p.sys.Sync("drain", 0)
-	return nil
+
+	return &Result{
+		Elapsed:      p.sys.Clock() - start,
+		Counters:     p.sys.Counters(),
+		Series:       p.sys.Series(),
+		MoveInBytes:  p.moveIn,
+		MoveOutBytes: p.moveOut,
+		Spilled:      p.spills,
+	}, nil
+}
+
+// stage is the online placement's staging: every tensor the kernel
+// touches becomes resident together, evicting by farthest next use.
+func (p *planner) stage(ki int) (bool, error) {
+	k := &p.plan.Prog.Kernels[ki]
+	keep := make(map[int]bool, len(k.Reads)+len(k.Writes))
+	for _, t := range k.Reads {
+		keep[t] = true
+	}
+	for _, t := range k.Writes {
+		keep[t] = true
+	}
+	movedBefore := p.moveIn + p.moveOut
+	for _, t := range k.Reads {
+		if err := p.moveInTensor(t, ki, true, keep); err != nil {
+			return false, err
+		}
+	}
+	for _, t := range k.Writes {
+		// First definition needs no fetch; rewrites of existing
+		// tensors (gradient accumulation) do, unless resident.
+		fetch := p.plan.FirstDef[t] != ki
+		if err := p.moveInTensor(t, ki, fetch, keep); err != nil {
+			return false, err
+		}
+	}
+	return p.moveIn+p.moveOut > movedBefore, nil
+}
+
+// retire is the online placement's retirement: dead tensors free their
+// space at once, with no write-back. Live tensors stay until evicted.
+func (p *planner) retire(ki int) bool {
+	k := &p.plan.Prog.Kernels[ki]
+	for _, t := range k.Reads {
+		p.retireIfDead(t, ki)
+	}
+	for _, t := range k.Writes {
+		p.retireIfDead(t, ki)
+	}
+	return false
 }
 
 // retireIfDead drops tensor t if kernel k was its last use.
@@ -381,6 +415,3 @@ func (p *planner) retireIfDead(t, k int) {
 		p.inUse -= p.plan.Bytes[t]
 	}
 }
-
-// Sample re-exports the perfcounter sample type for consumers.
-type Sample = perfcounter.Sample

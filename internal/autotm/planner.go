@@ -342,116 +342,65 @@ func (s *StaticPlan) StashedBytes() uint64 {
 // ExecuteStatic runs a compiled program on a 1LM system following the
 // static plan: Keep tensors live in DRAM for their whole range, Stash
 // tensors move out after their definition and back in before each
-// later use. It is the offline counterpart of Execute's online policy
-// and returns the same Result shape.
+// later use. It is the offline counterpart of Execute's online policy:
+// the same executor loop with a staticPlacement, returning the same
+// Result shape.
 func ExecuteStatic(plan *compiler.Plan, sys *core.System, static *StaticPlan, cfg Config) (*Result, error) {
-	if sys.Mode() != core.Mode1LM {
-		return nil, fmt.Errorf("autotm: requires a 1LM (app-direct) system, got %v", sys.Mode())
-	}
 	if static.Plan != plan {
 		return nil, fmt.Errorf("autotm: static plan was built for a different compilation")
 	}
-	if cfg.DRAMBudget == 0 {
-		cfg.DRAMBudget = sys.Platform().DRAMSize() * 9 / 10
-	}
-	if peak := static.PeakResident(); peak > cfg.DRAMBudget {
-		return nil, fmt.Errorf("autotm: static plan peaks at %s, above the %s budget",
-			mem.FormatBytes(peak), mem.FormatBytes(cfg.DRAMBudget))
-	}
-
-	nvramHome, err := sys.AddressSpace().AllocNVRAM(plan.HeapSize)
+	p, err := newPlanner(plan, sys, cfg, static.PeakResident())
 	if err != nil {
-		return nil, fmt.Errorf("autotm: NVRAM home: %w", err)
+		return nil, err
 	}
-	dramPool, err := sys.AddressSpace().AllocDRAM(cfg.DRAMBudget)
-	if err != nil {
-		return nil, fmt.Errorf("autotm: DRAM pool: %w", err)
-	}
+	return p.execute(staticPlacement{p, static.Decisions})
+}
 
-	p := &planner{
-		plan:      plan,
-		sys:       sys,
-		cfg:       cfg,
-		nvramHome: nvramHome,
-		dramBase:  dramPool.Base,
-		budget:    cfg.DRAMBudget,
-		state:     make([]residency, len(plan.Bytes)),
-	}
-	sys.SetThreads(threads)
-	sys.SetTraffic(mem.Sequential, mem.Line)
-	if cfg.Mover != nil {
-		sys.SetDMABandwidth(cfg.Mover.Bandwidth)
-	}
-	sys.Sync("setup", 0)
-	sys.ResetStats()
-	start := sys.Clock()
+// staticPlacement follows a StaticPlan's per-tensor decisions.
+type staticPlacement struct {
+	*planner
+	decisions []Decision
+}
 
-	for ki := range plan.Prog.Kernels {
-		k := &plan.Prog.Kernels[ki]
-		moved := false
-		// Restore stashed operands.
-		for _, t := range k.Reads {
-			if static.Decisions[t] == Stash && !p.state[t].resident {
-				p.copy(p.nvramRegion(t), p.dramRegion(t))
-				p.moveIn += plan.Bytes[t]
-				p.state[t].resident = true
-				moved = true
-			}
-		}
-		if moved && cfg.Mover == nil {
-			sys.Sync("move:"+k.Name, 0)
-		}
-		// Execute against DRAM.
-		for _, t := range k.Reads {
-			sys.LoadRange(p.dramRegion(t))
-		}
-		for _, t := range k.Writes {
-			sys.StoreRange(p.dramRegion(t))
-			p.state[t].resident = true
-		}
-		sys.AddInstructions(plan.KernelInstructions(ki))
-		phase := "fwd"
-		if ki >= plan.Prog.ForwardKernels {
-			phase = "bwd"
-		}
-		sys.Sync(phase+":"+k.Name, plan.KernelSeconds(ki, compiler.ExecConfig{Threads: threads}))
-
-		// Stash producers whose value survives but whose next use is
-		// later; drop everything dead.
-		stashed := false
-		for _, t := range k.Writes {
-			if plan.LastUse[t] == ki {
-				p.state[t].resident = false
-				continue
-			}
-			if static.Decisions[t] == Stash {
-				p.copy(p.dramRegion(t), p.nvramRegion(t))
-				p.moveOut += plan.Bytes[t]
-				p.state[t].resident = false
-				stashed = true
-			}
-		}
-		for _, t := range k.Reads {
-			if plan.LastUse[t] == ki {
-				p.state[t].resident = false
-			} else if static.Decisions[t] == Stash && p.state[t].resident {
-				// Re-stash only if the value was modified; reads leave
-				// the NVRAM copy valid, so just drop the DRAM copy.
-				p.state[t].resident = false
-			}
-		}
-		if stashed && cfg.Mover == nil {
-			sys.Sync("stash:"+k.Name, 0)
+// stage restores the kernel's stashed operands.
+func (s staticPlacement) stage(ki int) (bool, error) {
+	moved := false
+	for _, t := range s.plan.Prog.Kernels[ki].Reads {
+		if s.decisions[t] == Stash && !s.state[t].resident {
+			s.copy(s.nvramRegion(t), s.dramRegion(t))
+			s.moveIn += s.plan.Bytes[t]
+			s.state[t].resident = true
+			moved = true
 		}
 	}
-	sys.DrainLLC()
-	sys.Sync("drain", 0)
+	return moved, nil
+}
 
-	return &Result{
-		Elapsed:      sys.Clock() - start,
-		Counters:     sys.Counters(),
-		Series:       sys.Series(),
-		MoveInBytes:  p.moveIn,
-		MoveOutBytes: p.moveOut,
-	}, nil
+// retire stashes producers whose value survives but whose next use is
+// later, and drops everything dead.
+func (s staticPlacement) retire(ki int) bool {
+	k := &s.plan.Prog.Kernels[ki]
+	stashed := false
+	for _, t := range k.Writes {
+		if s.plan.LastUse[t] == ki {
+			s.state[t].resident = false
+			continue
+		}
+		if s.decisions[t] == Stash {
+			s.copy(s.dramRegion(t), s.nvramRegion(t))
+			s.moveOut += s.plan.Bytes[t]
+			s.state[t].resident = false
+			stashed = true
+		}
+	}
+	for _, t := range k.Reads {
+		if s.plan.LastUse[t] == ki {
+			s.state[t].resident = false
+		} else if s.decisions[t] == Stash && s.state[t].resident {
+			// Re-stash only if the value was modified; reads leave
+			// the NVRAM copy valid, so just drop the DRAM copy.
+			s.state[t].resident = false
+		}
+	}
+	return stashed
 }

@@ -2,6 +2,8 @@
 // is how the paper's 2LM CNN measurements (Figures 5 and 6) are
 // regenerated: each kernel streams its operand tensors through the
 // system, overlapped with a roofline estimate of its compute time.
+// Plan.RunKernel is that kernel step; internal/autotm's executors run
+// the same step against DRAM-staged operands.
 
 package compiler
 
@@ -56,10 +58,10 @@ func (p *Plan) KernelSeconds(k int, cfg ExecConfig) float64 {
 	return flops / (peak * eff * threadFrac)
 }
 
-// KernelInstructions estimates retired instructions for the MIPS trace:
+// kernelInstructions estimates retired instructions for the MIPS trace:
 // vectorized FLOPs plus load/store and bookkeeping instructions
 // proportional to bytes moved.
-func (p *Plan) KernelInstructions(k int) uint64 {
+func (p *Plan) kernelInstructions(k int) uint64 {
 	flops := p.Prog.Kernels[k].FLOPs / p.Scale
 	reads, writes := p.KernelBytes(k)
 	return flops/16 + (reads+writes)/16
@@ -112,32 +114,47 @@ func Execute(plan *Plan, sys *core.System, cfg ExecConfig) (*ExecResult, error) 
 	}, nil
 }
 
-// runIteration executes every kernel once. When labeled, each kernel
-// closes its own Sync interval with a phase-prefixed label.
+// runIteration executes every kernel once, each at its heap offset.
+// When labeled, each kernel closes its own Sync interval with a
+// phase-prefixed label.
 func runIteration(plan *Plan, sys *core.System, heap mem.Region, cfg ExecConfig, labeled bool) {
 	sys.SetTraffic(mem.Sequential, mem.Line)
+	at := func(t int) mem.Region { return plan.Region(heap.Base, t) }
 	for ki := range plan.Prog.Kernels {
 		k := &plan.Prog.Kernels[ki]
 		// Each operand tensor is one concurrent stream; dirty-victim
 		// write-backs from the miss handler add one more.
 		sys.SetStreams(len(k.Reads) + len(k.Writes) + 1)
-		for _, t := range k.Reads {
-			sys.LoadRange(plan.Region(heap.Base, t))
-		}
-		for _, t := range k.Writes {
-			sys.StoreRange(plan.Region(heap.Base, t))
-		}
-		sys.AddInstructions(plan.KernelInstructions(ki))
-		label := ""
-		if labeled {
-			phase := "fwd"
-			if ki >= plan.Prog.ForwardKernels {
-				phase = "bwd"
-			}
-			label = phase + ":" + k.Name
-		}
-		sys.Sync(label, plan.KernelSeconds(ki, cfg))
+		plan.RunKernel(sys, ki, at, cfg, labeled)
 	}
 	sys.DrainLLC()
 	sys.Sync("drain", 0)
+}
+
+// RunKernel is the one kernel step every executor shares: it loads each
+// tensor kernel ki reads and stores each tensor it writes, at the
+// region at places the tensor in, charges the kernel's instructions,
+// and closes a Sync interval with its roofline compute time. When
+// labeled, the interval carries the phase-prefixed kernel name
+// ("fwd:conv1", "bwd:conv1"). How the system overlaps the traffic with
+// the compute time is the system's business; the caller sets threads,
+// traffic shape and stream count.
+func (p *Plan) RunKernel(sys *core.System, ki int, at func(t int) mem.Region, cfg ExecConfig, labeled bool) {
+	k := &p.Prog.Kernels[ki]
+	for _, t := range k.Reads {
+		sys.LoadRange(at(t))
+	}
+	for _, t := range k.Writes {
+		sys.StoreRange(at(t))
+	}
+	sys.AddInstructions(p.kernelInstructions(ki))
+	label := ""
+	if labeled {
+		phase := "fwd"
+		if ki >= p.Prog.ForwardKernels {
+			phase = "bwd"
+		}
+		label = phase + ":" + k.Name
+	}
+	sys.Sync(label, p.KernelSeconds(ki, cfg))
 }

@@ -41,8 +41,6 @@ import (
 type MultiChannelConfig struct {
 	// Scale is the footprint divisor (power of two; default 8192).
 	Scale uint64
-	// Channels is the channel count (default 6, the Cascade Lake socket).
-	Channels int
 	// Telemetry, when non-nil, receives the serial reference's counter
 	// samples for every scenario, labeled with the scenario name and
 	// sampled every sampleEvery demand lines.
@@ -54,16 +52,13 @@ const sampleEvery = 4096
 
 // DefaultMultiChannelConfig returns the paper-geometry configuration.
 func DefaultMultiChannelConfig() MultiChannelConfig {
-	return MultiChannelConfig{Scale: 8192, Channels: 6}
+	return MultiChannelConfig{Scale: 8192}
 }
 
 func (c MultiChannelConfig) withDefaults() MultiChannelConfig {
 	d := DefaultMultiChannelConfig()
 	if c.Scale == 0 {
 		c.Scale = d.Scale
-	}
-	if c.Channels == 0 {
-		c.Channels = d.Channels
 	}
 	return c
 }
@@ -117,44 +112,39 @@ func mcScenarios() []mcScenario {
 	}
 }
 
-// Validate reports whether the experiment can run: the platform at
-// Scale must be valid and Channels must split its DRAM cache into whole
-// sets per channel and its NVRAM into whole lines. Zero fields take
-// their defaults, as in MultiChannel. Front ends call it before any
-// job starts, so a bad channel count fails at once.
-func (c MultiChannelConfig) Validate() error {
-	c = c.withDefaults()
-	plat := platform.CascadeLake(1, c.Scale, 24)
-	if err := plat.Validate(); err != nil {
-		return err
-	}
-	return checkSplit(c.Channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy())
+// MultiChannel runs the experiment at the socket's channel count (six
+// on Cascade Lake) and returns the result table. It errors if any
+// scenario's merged channel counters diverge from the serial run —
+// that equality is a correctness property, not a statistic.
+func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
+	cfg = cfg.withDefaults()
+	return multiChannel(cfg, platform.CascadeLake(1, cfg.Scale, 24).ChannelsPerSocket)
 }
 
-// MultiChannel runs the experiment and returns the result table. It
-// errors if cfg fails Validate, and if any scenario's merged channel
-// counters diverge from the serial run — that equality is a
-// correctness property, not a statistic.
-func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// multiChannel runs the experiment at any channel count; the tests pin
+// it at 1 to 12 channels. A count that does not split the platform's
+// DRAM cache into whole sets per channel, or its NVRAM into whole
+// lines, is an error naming the count, raised before any scenario runs.
+func multiChannel(cfg MultiChannelConfig, channels int) (*results.Table, error) {
 	cfg = cfg.withDefaults()
 	plat := platform.CascadeLake(1, cfg.Scale, 24)
+	if err := plat.Validate(); err != nil {
+		return nil, err
+	}
 
 	table := results.NewTable(
-		fmt.Sprintf("Multi-channel 2LM amplification (%d line-interleaved channels)", cfg.Channels),
+		fmt.Sprintf("Multi-channel 2LM amplification (%d line-interleaved channels)", channels),
 		"scenario", "demand", "amplification", "counters_match", "channel_balance")
 
 	for _, sc := range mcScenarios() {
-		split, err := newChannelSplit(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy())
+		split, err := newChannelSplit(channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy())
 		if err != nil {
 			return nil, err
 		}
-		// The serial reference gets cfg.Channels DRAM channels, so its
-		// samples carry one CAS slot per split channel. The imc hook
-		// fires at range boundaries; one-line ranges sample per op.
-		serial, err := newController(cfg.Channels, plat.DRAMSize(), plat.NVRAMSize())
+		// The serial reference gets one DRAM channel per split channel,
+		// so its samples carry one CAS slot per split channel. The imc
+		// hook fires at range boundaries; one-line ranges sample per op.
+		serial, err := newController(channels, plat.DRAMSize(), plat.NVRAMSize())
 		if err != nil {
 			return nil, err
 		}
@@ -169,8 +159,8 @@ func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
 		}
 		serial.FlushTelemetry()
 
-		channels := split.counters()
-		sctr, mctr := serial.Counters(), MergeCounters(channels...)
+		perChannel := split.counters()
+		sctr, mctr := serial.Counters(), MergeCounters(perChannel...)
 		if sctr != mctr {
 			return nil, fmt.Errorf("engine: %s: channel counters diverge from serial:\n serial %v\n merged %v",
 				sc.name, sctr, mctr)
@@ -179,7 +169,7 @@ func MultiChannel(cfg MultiChannelConfig) (*results.Table, error) {
 			fmt.Sprint(mctr.Demand()),
 			fmt.Sprintf("%.3f", mctr.Amplification()),
 			"yes",
-			fmt.Sprintf("%.3f", channelBalance(channels)))
+			fmt.Sprintf("%.3f", channelBalance(perChannel)))
 	}
 	return table, nil
 }

@@ -10,6 +10,7 @@ import (
 
 	"twolm/internal/imc"
 	"twolm/internal/mem"
+	"twolm/internal/platform"
 	"twolm/internal/telemetry"
 )
 
@@ -103,22 +104,18 @@ func TestChannelSplitMatchesSerial(t *testing.T) {
 
 // TestMultiChannelValidation: a channel count that does not split the
 // capacities into whole sets and lines is an error naming the count,
-// from Validate and from MultiChannel alike, never a panic — and so is
-// every malformed split geometry.
+// never a panic — and so is every malformed split geometry.
 func TestMultiChannelValidation(t *testing.T) {
-	for _, channels := range []int{-1, 5, 7, 1 << 62} {
-		cfg := MultiChannelConfig{Channels: channels}
-		_, runErr := MultiChannel(cfg)
-		for name, err := range map[string]error{"Validate": cfg.Validate(), "MultiChannel": runErr} {
-			if err == nil {
-				t.Errorf("%s channels=%d: accepted", name, channels)
-			} else if !strings.Contains(err.Error(), fmt.Sprint(channels)) {
-				t.Errorf("%s channels=%d: error does not name the count: %v", name, channels, err)
-			}
+	for _, channels := range []int{-1, 0, 5, 7, 1 << 62} {
+		if _, err := multiChannel(MultiChannelConfig{}, channels); err == nil {
+			t.Errorf("channels=%d: accepted", channels)
+		} else if !strings.Contains(err.Error(), fmt.Sprint(channels)) {
+			t.Errorf("channels=%d: error does not name the count: %v", channels, err)
 		}
 	}
-	for _, channels := range []int{0, 1, 2, 3, 6, 12} {
-		if err := (MultiChannelConfig{Channels: channels}).Validate(); err != nil {
+	plat := platform.CascadeLake(1, DefaultMultiChannelConfig().Scale, 24)
+	for _, channels := range []int{1, 2, 3, 6, 12} {
+		if err := checkSplit(channels, plat.DRAMSize(), plat.NVRAMSize(), imc.HardwarePolicy()); err != nil {
 			t.Errorf("channels=%d rejected: %v", channels, err)
 		}
 	}
@@ -161,11 +158,14 @@ func TestMultiChannelValidation(t *testing.T) {
 // TestMultiChannel runs the split-vs-serial experiment at a tiny
 // scale; MultiChannel itself errors if any scenario's merged counters
 // diverge from the serial reference, so success asserts the property
-// on the real platform geometry.
+// on the real platform geometry, at the socket's six channels.
 func TestMultiChannel(t *testing.T) {
-	table, err := MultiChannel(MultiChannelConfig{Scale: 1 << 21, Channels: 6})
+	table, err := MultiChannel(MultiChannelConfig{Scale: 1 << 21})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(table.Title, "(6 line-interleaved channels)") {
+		t.Errorf("title %q does not name the socket's 6 channels", table.Title)
 	}
 	out := table.String()
 	for _, want := range []string{"read miss (clean)", "write miss (dirty)", "rmw (ddo writeback)"} {
@@ -178,11 +178,11 @@ func TestMultiChannel(t *testing.T) {
 	}
 }
 
-// TestMultiChannelDefaults: the zero config resolves to the paper
-// geometry (6 channels) without error.
+// TestMultiChannelDefaults: the zero config resolves to the repro
+// footprint without error.
 func TestMultiChannelDefaults(t *testing.T) {
 	cfg := MultiChannelConfig{}.withDefaults()
-	if cfg.Channels != 6 || cfg.Scale != 8192 {
+	if cfg.Scale != 8192 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
@@ -220,7 +220,7 @@ func TestMultiChannelGoldenDigests(t *testing.T) {
 		t.Run(fmt.Sprintf("channels=%d", g.channels), func(t *testing.T) {
 			t.Parallel()
 			rec := telemetry.NewRecorder()
-			table, err := MultiChannel(MultiChannelConfig{Scale: 8192, Channels: g.channels, Telemetry: rec})
+			table, err := multiChannel(MultiChannelConfig{Scale: 8192, Telemetry: rec}, g.channels)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -189,8 +189,8 @@ func graphSource(gcfg experiments.GraphConfig) claimSource[experiments.Claim] {
 }
 
 // checkClaims evaluates claims C1-C5 from the run's claim cells, in
-// claim order; the first experiment error ends it, as in
-// experiments.CheckClaims.
+// claim order; the first experiment error ends it. With no run scope
+// in ctx it runs every experiment itself.
 func checkClaims(ctx context.Context, micro experiments.MicroConfig, cnn experiments.CNNConfig, gcfg experiments.GraphConfig) ([]experiments.Claim, error) {
 	c1, err := consume(ctx, cellC1, table1Source(micro))
 	if err != nil {

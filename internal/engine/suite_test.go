@@ -60,17 +60,26 @@ func claimsOutcome(t *testing.T, outs []Outcome) []byte {
 
 // TestClaimsCheckSameBytesEveryPath: the claims check reads its facts
 // from sibling jobs when the suite runs (serially or on a pool) and
-// computes them itself when run alone; all three, and the standalone
-// experiments.CheckClaims, produce the same table and error text.
+// computes them itself when run alone; all three produce the same
+// table and error text as checkClaims with no run scope, which runs
+// every experiment itself — and every claim passes at test scale.
 func TestClaimsCheckSameBytesEveryPath(t *testing.T) {
 	cfg := tinySuiteConfig()
 	jobs := Suite(cfg)
 
-	table, claims, err := experiments.CheckClaims(cfg.Micro, cfg.CNN, cfg.Graph)
+	claims, err := checkClaims(context.Background(), cfg.Micro, cfg.CNN, cfg.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := claimsBytes(t, table, claimsErr(claims))
+	if len(claims) != 5 {
+		t.Fatalf("claims = %d, want 5", len(claims))
+	}
+	for _, c := range claims {
+		if !c.Pass {
+			t.Errorf("%s FAILED: %s — expected %s, measured %s", c.ID, c.Text, c.Expected, c.Measured)
+		}
+	}
+	want := claimsBytes(t, experiments.ClaimsTable(claims), claimsErr(claims))
 
 	cases := map[string][]Outcome{
 		"suite on 1 worker":  RunJobs(jobs, 1),
@@ -79,7 +88,7 @@ func TestClaimsCheckSameBytesEveryPath(t *testing.T) {
 	}
 	for name, outs := range cases {
 		if got := claimsOutcome(t, outs); !bytes.Equal(got, want) {
-			t.Errorf("%s: claims bytes differ from experiments.CheckClaims\n got: %s\nwant: %s", name, got, want)
+			t.Errorf("%s: claims bytes differ from an unscoped checkClaims\n got: %s\nwant: %s", name, got, want)
 		}
 	}
 }

@@ -6,8 +6,9 @@
 //
 // Each claim is a pure function of one experiment's result, so a
 // caller that already ran the experiment evaluates the claim without
-// simulating anything again; CheckClaims is the standalone path that
-// runs the experiments itself.
+// simulating anything again. The engine's claims_check job is the one
+// path that gathers them: it reads each fact from the run's sibling
+// jobs, or runs the experiment itself when the job runs alone.
 
 package experiments
 
@@ -24,43 +25,6 @@ type Claim struct {
 	Expected string
 	Measured string
 	Pass     bool
-}
-
-// CheckClaims evaluates every headline claim at the given scales and
-// returns the table plus the claims for programmatic use.
-func CheckClaims(micro MicroConfig, cnn CNNConfig, graphs GraphConfig) (*results.Table, []Claim, error) {
-	t1, err := Table1(micro)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rows4a, err := Fig4a(micro)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, rows4b, err := Fig4b(micro)
-	if err != nil {
-		return nil, nil, err
-	}
-	fig5, err := Fig5(cnn)
-	if err != nil {
-		return nil, nil, err
-	}
-	_, t2rows, err := Table2(cnn)
-	if err != nil {
-		return nil, nil, err
-	}
-	study, err := RunGraphStudy(graphs)
-	if err != nil {
-		return nil, nil, err
-	}
-	claims := []Claim{
-		ClaimC1(t1),
-		ClaimC2(BestEffective(rows4a), BestEffective(rows4b)),
-		ClaimC3(fig5),
-		ClaimC4(t2rows),
-		ClaimC5(study),
-	}
-	return ClaimsTable(claims), claims, nil
 }
 
 // ClaimC1: "A single demand request can require up to 5 memory

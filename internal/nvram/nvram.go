@@ -12,6 +12,12 @@
 // The media counters let experiments report device wear and explain the
 // bandwidth cliffs of the paper's Figure 2b; elapsed time itself comes
 // from internal/bwmodel.
+//
+// Each DIMM holds the combining window in one merge step, writeBlocks,
+// and the read-merge memo in one read step, readBlock. Every write path
+// (Write, WriteBatch, WriteLineRun) and every per-address read path
+// (Read, ReadBatch) calls them; ReadLineRun is the one closed-form
+// accelerator, checked against per-call Read in linerun_test.go.
 package nvram
 
 import (
@@ -42,8 +48,8 @@ type DIMM struct {
 	xpbufLen  int
 	xpbufNext int
 
-	// lastWriteBlock short-circuits the common case: the block written
-	// by the previous Write is always resident in the buffer (a merge
+	// lastWriteBlock short-circuits the common case: the last block the
+	// merge step applied is always resident in the buffer (a merge
 	// finds it there; an insert just put it there), so a repeat of the
 	// same block merges without scanning. Sequential 64 B streams take
 	// this path three times out of four.
@@ -75,9 +81,13 @@ func newDIMM() *DIMM {
 
 // Read records a 64 B read at addr, merging consecutive reads of the
 // same media block into one media read.
-func (d *DIMM) Read(addr uint64) {
+func (d *DIMM) Read(addr uint64) { d.readBlock(addr / MediaBlock) }
+
+// readBlock is the read memo, the one read step every per-address path
+// shares: a 64 B read of the media block last read merges into that
+// media read. Small enough to inline into ReadBatch's loop.
+func (d *DIMM) readBlock(block uint64) {
 	d.Reads++
-	block := addr / MediaBlock
 	if d.haveLastRead && block == d.lastReadBlock {
 		return
 	}
@@ -92,33 +102,61 @@ func (d *DIMM) Read(addr uint64) {
 func (d *DIMM) Write(addr uint64) {
 	d.Writes++
 	block := addr / MediaBlock
-	if d.haveLastWrite && block == d.lastWriteBlock {
-		return // merged into a pending media write
+	d.writeBlocks(block, block)
+}
+
+// writeBlocks is the write-combining merge step, the one model of the
+// XPBuffer behind every write path: it applies the media blocks
+// first..last in ascending order, each written at least once, as the
+// per-line path would. A block merges when it repeats the last block
+// written (the memo) or is still resident in the ring; otherwise it
+// costs one media write and takes the round-robin slot.
+//
+// In an ascending run only the first block can repeat the memo, and a
+// block can only merge with a ring entry that predates the call, so the
+// scan runs only up to a ceiling: xpbufBound for one block, and for a
+// run the lower of that and the ring's current maximum, computed once.
+// Every block above the ceiling is a plain insert. A stale-high ceiling
+// costs a useless scan, never a wrong merge.
+func (d *DIMM) writeBlocks(first, last uint64) {
+	ceil := d.xpbufBound
+	if last > first {
+		var ringMax uint64
+		for _, r := range d.xpbuf[:d.xpbufLen] {
+			ringMax = max(ringMax, r)
+		}
+		ceil = min(ceil, ringMax)
 	}
-	if block <= d.xpbufBound {
-		for i := 0; i < d.xpbufLen; i++ {
-			if d.xpbuf[i] == block {
-				d.lastWriteBlock = block
-				d.haveLastWrite = true
-				return // merged into a pending media write
+	b := first
+	if d.haveLastWrite && b == d.lastWriteBlock {
+		b++ // merged into a pending media write
+	}
+	for ; b <= last; b++ {
+		if b <= ceil {
+			// Branchless scan: under random traffic the ring almost
+			// never holds the block, so an early exit predicts badly.
+			hit := false
+			for _, r := range d.xpbuf[:d.xpbufLen] {
+				if r == b {
+					hit = true
+				}
+			}
+			if hit {
+				continue // merged into a pending media write
 			}
 		}
-	}
-	d.MediaWrites++
-	if d.xpbufLen < xpBufferEntries {
-		d.xpbuf[d.xpbufLen] = block
-		d.xpbufLen++
-	} else {
-		d.xpbuf[d.xpbufNext] = block
+		d.MediaWrites++
+		d.xpbuf[d.xpbufNext] = b
 		d.xpbufNext++
 		if d.xpbufNext == xpBufferEntries {
 			d.xpbufNext = 0
 		}
+		if d.xpbufLen < xpBufferEntries {
+			d.xpbufLen++
+		}
 	}
-	if block > d.xpbufBound {
-		d.xpbufBound = block
-	}
-	d.lastWriteBlock = block
+	d.xpbufBound = max(d.xpbufBound, last)
+	d.lastWriteBlock = last
 	d.haveLastWrite = true
 }
 
@@ -209,7 +247,7 @@ func (m *Module) Write(addr uint64) {
 
 // ReadBatch records one 64 B read transaction per address, in slice
 // order. Byte-identical to calling Read per address: the interleave
-// map is a pure function of the address, and the per-DIMM merge state
+// map is a pure function of the address, and each DIMM's read memo
 // advances in the same order. The Module-level interleave memo is
 // bypassed (it is a pure lookup cache); the DIMM structs themselves
 // are small enough to stay cache-resident across the loop, which is
@@ -218,25 +256,14 @@ func (m *Module) ReadBatch(addrs []uint64) {
 	dimms := m.dimms
 	div := m.dimmDiv
 	for _, a := range addrs {
-		d := dimms[div.Mod(a/interleaveGranularity)]
-		d.Reads++
-		block := a / MediaBlock
-		if d.haveLastRead && block == d.lastReadBlock {
-			continue
-		}
-		d.MediaReads++
-		d.lastReadBlock = block
-		d.haveLastRead = true
+		dimms[div.Mod(a/interleaveGranularity)].readBlock(a / MediaBlock)
 	}
 }
 
 // WriteBatch records one 64 B write transaction per address, in slice
-// order. Byte-identical to calling Write per address, for the same
-// reasons as ReadBatch. The combining-buffer membership scan runs
-// branchlessly over the whole ring: under random traffic the buffer
-// almost never holds the block, so an early-exit scan predicts badly,
-// while sixteen flag-accumulating compares retire in a handful of
-// cycles.
+// order: each address is one call of its DIMM's merge step, so it is
+// byte-identical to calling Write per address for the same reasons as
+// ReadBatch.
 func (m *Module) WriteBatch(addrs []uint64) {
 	dimms := m.dimms
 	div := m.dimmDiv
@@ -244,38 +271,7 @@ func (m *Module) WriteBatch(addrs []uint64) {
 		d := dimms[div.Mod(a/interleaveGranularity)]
 		d.Writes++
 		block := a / MediaBlock
-		if d.haveLastWrite && block == d.lastWriteBlock {
-			continue // merged into a pending media write
-		}
-		if block <= d.xpbufBound {
-			var hitSlot uint64
-			for i := 0; i < d.xpbufLen; i++ {
-				if d.xpbuf[i] == block {
-					hitSlot = 1
-				}
-			}
-			if hitSlot != 0 {
-				d.lastWriteBlock = block
-				d.haveLastWrite = true
-				continue // merged into a pending media write
-			}
-		}
-		d.MediaWrites++
-		if d.xpbufLen < xpBufferEntries {
-			d.xpbuf[d.xpbufLen] = block
-			d.xpbufLen++
-		} else {
-			d.xpbuf[d.xpbufNext] = block
-			d.xpbufNext++
-			if d.xpbufNext == xpBufferEntries {
-				d.xpbufNext = 0
-			}
-		}
-		if block > d.xpbufBound {
-			d.xpbufBound = block
-		}
-		d.lastWriteBlock = block
-		d.haveLastWrite = true
+		d.writeBlocks(block, block)
 	}
 }
 
@@ -330,11 +326,9 @@ func (m *Module) ReadLineRun(addr, n uint64) {
 
 // WriteLineRun records n consecutive ascending 64 B line writes
 // starting at addr — the bulk form of calling Write on each line in
-// order, walking media blocks instead of lines. For each DIMM the
-// block subsequence is strictly ascending, so a block can merge only
-// with pre-run ring contents: the membership scan runs only while the
-// block is below the maximum pre-chunk ring entry, after which every
-// block is a guaranteed insert. Byte-identical to the per-line path.
+// order. The lines of one 4 KiB interleave chunk land on one DIMM and
+// cover an ascending run of media blocks, so each chunk is one call of
+// that DIMM's merge step. Byte-identical to the per-line path.
 //
 //hot:entry sequential-fold device path, driven on pooled controllers
 //alloc:free bulk run path, 0 allocs/op by benchmark contract
@@ -347,61 +341,14 @@ func (m *Module) WriteLineRun(addr, n uint64) {
 	div := m.dimmDiv
 	for a := addr; a < end; {
 		chunk := a / interleaveGranularity
-		stop := (chunk + 1) * interleaveGranularity
-		if stop > end {
-			stop = end
-		}
+		stop := min((chunk+1)*interleaveGranularity, end)
 		d := dimms[div.Mod(chunk)]
+		// Lines starting before stop belong to this chunk, as in
+		// ReadLineRun.
 		cnt := (stop - a + mem.Line - 1) >> mem.LineShift
 		last := a + (cnt-1)*mem.Line
 		d.Writes += cnt
-		// ringMax bounds the ring's resident blocks from above. Blocks
-		// inserted below never need rechecking: the walk ascends, so a
-		// later block can only equal a ring entry that predates this
-		// chunk. A stale-high bound costs a useless scan, never a wrong
-		// merge — the same contract as xpbufBound.
-		ringMax := uint64(0)
-		for i := 0; i < d.xpbufLen; i++ {
-			if d.xpbuf[i] > ringMax {
-				ringMax = d.xpbuf[i]
-			}
-		}
-		b0 := a / MediaBlock
-		b1 := last / MediaBlock
-		for b := b0; b <= b1; b++ {
-			if d.haveLastWrite && b == d.lastWriteBlock {
-				continue // merged into a pending media write
-			}
-			if b <= d.xpbufBound && b <= ringMax {
-				merged := false
-				for i := 0; i < d.xpbufLen; i++ {
-					if d.xpbuf[i] == b {
-						merged = true
-					}
-				}
-				if merged {
-					d.lastWriteBlock = b
-					d.haveLastWrite = true
-					continue // merged into a pending media write
-				}
-			}
-			d.MediaWrites++
-			if d.xpbufLen < xpBufferEntries {
-				d.xpbuf[d.xpbufLen] = b
-				d.xpbufLen++
-			} else {
-				d.xpbuf[d.xpbufNext] = b
-				d.xpbufNext++
-				if d.xpbufNext == xpBufferEntries {
-					d.xpbufNext = 0
-				}
-			}
-			if b > d.xpbufBound {
-				d.xpbufBound = b
-			}
-			d.lastWriteBlock = b
-			d.haveLastWrite = true
-		}
+		d.writeBlocks(a/MediaBlock, last/MediaBlock)
 		a += cnt * mem.Line
 	}
 }

@@ -2,7 +2,7 @@
 // binaries. The commands that run simulations (repro and nvtrace)
 // register the same -out/-scale/-quick/-metrics-addr set from here,
 // with the same validation and the same live-metrics bootstrap; repro
-// alone adds the suite's -parallel/-channels and the -job file.
+// alone adds the suite's -parallel and the -job file.
 //
 // The metrics bootstrap deliberately returns the concrete
 // *telemetry.Prom rather than a telemetry.Sink: when -metrics-addr is
@@ -34,8 +34,6 @@ type Common struct {
 	Quick bool
 	// Parallel is the experiment worker count (1 = serial).
 	Parallel int
-	// Channels is the IMC channel count of the multichannel self-check.
-	Channels int
 	// MetricsAddr, when nonempty, is the listen address of the
 	// Prometheus /metrics endpoint.
 	MetricsAddr string
@@ -50,14 +48,13 @@ type Common struct {
 }
 
 // Defaults returns the canonical default values shared by the suite
-// binaries: results/ output, the calibrated 1/1024 footprint scale,
-// one worker per CPU, and the Cascade Lake six-channel socket.
+// binaries: results/ output, the calibrated 1/1024 footprint scale and
+// one worker per CPU.
 func Defaults() Common {
 	return Common{
 		Out:      "results",
 		Scale:    1024,
 		Parallel: runtime.NumCPU(),
-		Channels: 6,
 	}
 }
 
@@ -72,13 +69,11 @@ func (c *Common) Register(fs *flag.FlagSet) {
 		"serve Prometheus metrics at this address (e.g. 127.0.0.1:9464)")
 }
 
-// RegisterSuite installs -parallel and -channels, the flags of a
-// binary that runs jobs on the worker pool and the multichannel
-// self-check. A binary that registers only Register keeps the
-// Defaults values, which Validate accepts.
+// RegisterSuite installs -parallel, the flag of a binary that runs
+// jobs on the worker pool. A binary that registers only Register keeps
+// the Defaults value, which Validate accepts.
 func (c *Common) RegisterSuite(fs *flag.FlagSet) {
 	fs.IntVar(&c.Parallel, "parallel", c.Parallel, "experiment worker count (1 = serial)")
-	fs.IntVar(&c.Channels, "channels", c.Channels, "IMC channels of the multichannel self-check")
 }
 
 // Validate rejects malformed values up front, before any experiment
@@ -89,9 +84,6 @@ func (c *Common) Validate() error {
 	}
 	if c.Parallel < 1 {
 		return fmt.Errorf("-parallel %d must be positive", c.Parallel)
-	}
-	if c.Channels < 1 {
-		return fmt.Errorf("-channels %d must be positive", c.Channels)
 	}
 	return nil
 }

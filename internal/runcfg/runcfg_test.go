@@ -18,14 +18,13 @@ func TestRegisterParsesSharedFlags(t *testing.T) {
 		"-scale", "2048",
 		"-quick",
 		"-parallel", "3",
-		"-channels", "2",
 		"-metrics-addr", "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c.Out != "artifacts" || c.Scale != 2048 || !c.Quick ||
-		c.Parallel != 3 || c.Channels != 2 || c.MetricsAddr != "127.0.0.1:0" {
+		c.Parallel != 3 || c.MetricsAddr != "127.0.0.1:0" {
 		t.Errorf("parsed config %+v does not match the flag values", c)
 	}
 }
@@ -45,7 +44,6 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		{"zero scale", func(c *Common) { c.Scale = 0 }},
 		{"non-power-of-two scale", func(c *Common) { c.Scale = 1000 }},
 		{"zero parallel", func(c *Common) { c.Parallel = 0 }},
-		{"zero channels", func(c *Common) { c.Channels = 0 }},
 	}
 	for _, tc := range cases {
 		c := Defaults()

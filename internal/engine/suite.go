@@ -3,8 +3,11 @@
 // outputs as named artifacts; cmd/repro only decides where the bytes
 // go. Job granularity follows the experiments' natural units (one
 // figure or table each, the whole graph study as one job since its
-// figures share a Study), so a 4-worker pool keeps the long CNN and
-// graph jobs off the critical path of the short microbenchmarks.
+// figures share a Study). The pool overlaps jobs; inside a job, the
+// experiments run their independent simulations concurrently too
+// (Figures 2 and 4, Table II, co-design, embeddings, the graph study
+// and the associativity ablation), so a long job is not one serial
+// critical path even on a single pool worker.
 //
 // Artifact names — and the job order, which fixes the report order —
 // are part of the repository's output contract: they must match the

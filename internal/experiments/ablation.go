@@ -9,9 +9,10 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"twolm/internal/autotm"
 	"twolm/internal/compiler"
 	"twolm/internal/core"
 	"twolm/internal/dma"
@@ -126,8 +127,14 @@ func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
 	table := results.NewTable(
 		"Ablation: DRAM-cache associativity (DenseNet 264 training iteration, 2LM)",
 		"ways", "runtime_s", "hit_rate", "miss_dirty", "nvram_write_gb", "vs_direct_mapped")
-	// The runs share only the compiled plan, which Execute reads.
-	runs, err := runSlots(len(ways), nil, func(i int) (*compiler.ExecResult, error) {
+	// The runs share only the compiled plan, which Execute reads. The
+	// most associative run is the longest, so it is dispatched first.
+	order := make([]int, len(ways))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ways[b], ways[a]) })
+	runs, err := runSlots(len(ways), order, func(i int) (*compiler.ExecResult, error) {
 		p := imc.HardwarePolicy()
 		p.Ways = ways[i]
 		sys, err := core.New(core.Config{
@@ -168,38 +175,30 @@ func CoDesign(cfg CNNConfig) (*results.Table, error) {
 		"Co-design: DenseNet 264 data movement mechanisms",
 		"mechanism", "runtime_s", "nvram_read_gb", "nvram_write_gb", "speedup_vs_2lm")
 
-	twoLM, err := cfg.Run2LM(plan)
-	if err != nil {
-		return nil, err
-	}
-	rt2 := cfg.unscaleSeconds(twoLM.Elapsed)
-	table.AddRow("2LM hardware cache", rt2,
-		cfg.unscaleGB(twoLM.NVRAMReadBytes()), cfg.unscaleGB(twoLM.NVRAMWriteBytes()), "1.00x")
-
-	movers := []struct {
+	mechanisms := []struct {
 		name   string
 		engine *dma.Engine
 	}{
+		{"2LM hardware cache", nil},
 		{"AutoTM, CPU sync copies", nil},
 		{"AutoTM + I/OAT-class DMA", ptr(dma.CurrentGenIOAT())},
 		{"AutoTM + co-designed DMA", ptr(dma.FutureGen())},
 	}
-	for _, m := range movers {
-		sys, err := core.New(core.Config{
-			Platform: platform.CascadeLake(1, cfg.Scale, 24),
-			Mode:     core.Mode1LM,
-		})
-		if err != nil {
-			return nil, err
+	// Slot 0 is the 2LM reference, the rest one AutoTM run per mover;
+	// the runs share only the compiled plan, so they run concurrently.
+	runs, err := runSlots(len(mechanisms), nil, func(i int) (CNNRun, error) {
+		return cfg.cnnRun(plan, i > 0, mechanisms[i].engine)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rt2 := runs[0].RuntimeS
+	for i, m := range mechanisms {
+		speedup := "1.00x"
+		if i > 0 {
+			speedup = fmt.Sprintf("%.2fx", rt2/runs[i].RuntimeS)
 		}
-		res, err := autotm.Execute(plan, sys, autotm.Config{Mover: m.engine})
-		if err != nil {
-			return nil, err
-		}
-		rt := cfg.unscaleSeconds(res.Elapsed)
-		table.AddRow(m.name, rt,
-			cfg.unscaleGB(res.NVRAMReadBytes()), cfg.unscaleGB(res.NVRAMWriteBytes()),
-			fmt.Sprintf("%.2fx", rt2/rt))
+		table.AddRow(m.name, runs[i].RuntimeS, runs[i].NVRAMReadGB, runs[i].NVRAMWriteGB, speedup)
 	}
 	return table, nil
 }

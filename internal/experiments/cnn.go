@@ -12,6 +12,8 @@ import (
 	"twolm/internal/autotm"
 	"twolm/internal/compiler"
 	"twolm/internal/core"
+	"twolm/internal/dma"
+	"twolm/internal/imc"
 	"twolm/internal/mem"
 	"twolm/internal/nn"
 	"twolm/internal/perfcounter"
@@ -114,6 +116,12 @@ func (c CNNConfig) Run2LM(plan *compiler.Plan) (*compiler.ExecResult, error) {
 // RunAutoTM executes a plan on a fresh single-socket 1LM system under
 // software-managed tensor movement.
 func (c CNNConfig) RunAutoTM(plan *compiler.Plan) (*autotm.Result, error) {
+	return c.runAutoTM(plan, nil)
+}
+
+// runAutoTM is RunAutoTM with the tensor moves executed by mover (nil:
+// synchronous CPU copies).
+func (c CNNConfig) runAutoTM(plan *compiler.Plan, mover *dma.Engine) (*autotm.Result, error) {
 	c = c.withDefaults()
 	sys, err := core.New(core.Config{
 		Platform: platform.CascadeLake(1, c.Scale, 24),
@@ -122,7 +130,7 @@ func (c CNNConfig) RunAutoTM(plan *compiler.Plan) (*autotm.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return autotm.Execute(plan, sys, autotm.Config{})
+	return autotm.Execute(plan, sys, autotm.Config{Mover: mover})
 }
 
 // Fig5Result bundles the Figure 5 artifacts: the per-kernel trace
@@ -335,44 +343,68 @@ type CNNRun struct {
 	RuntimeS                                           float64
 }
 
+// cnnRun executes plan on a fresh system, in 2LM or under AutoTM with
+// the tensor moves executed by mover (nil: synchronous CPU copies), and
+// returns its traffic and runtime in unscaled units.
+func (c CNNConfig) cnnRun(plan *compiler.Plan, autoTM bool, mover *dma.Engine) (CNNRun, error) {
+	var (
+		ctr     imc.Counters
+		elapsed float64
+	)
+	if autoTM {
+		r, err := c.runAutoTM(plan, mover)
+		if err != nil {
+			return CNNRun{}, err
+		}
+		ctr, elapsed = r.Counters, r.Elapsed
+	} else {
+		r, err := c.Run2LM(plan)
+		if err != nil {
+			return CNNRun{}, err
+		}
+		ctr, elapsed = r.Counters, r.Elapsed
+	}
+	return CNNRun{
+		DRAMReadGB:   c.unscaleGB(ctr.DRAMRead * mem.Line),
+		DRAMWriteGB:  c.unscaleGB(ctr.DRAMWrite * mem.Line),
+		NVRAMReadGB:  c.unscaleGB(ctr.NVRAMRead * mem.Line),
+		NVRAMWriteGB: c.unscaleGB(ctr.NVRAMWrite * mem.Line),
+		RuntimeS:     c.unscaleSeconds(elapsed),
+	}, nil
+}
+
 // Table2 reproduces Table II: data moved and execution time for the
 // three CNNs in 2LM and under AutoTM.
+//
+// Each run builds its own system and only reads its network's compiled
+// plan, so the six runs execute concurrently: slot 2n is network n's
+// 2LM run and slot 2n+1 its AutoTM run.
 func Table2(cfg CNNConfig) (*results.Table, []Table2Row, error) {
 	cfg = cfg.withDefaults()
-	var rows []Table2Row
 	table := results.NewTable("Table II: data moved (GB) and runtime (s), 2LM vs AutoTM",
 		"network", "mode", "dram_read", "dram_write", "nvram_read", "nvram_write", "runtime_s", "speedup")
 
-	for _, name := range []string{"inceptionv4", "resnet200", "densenet264"} {
-		plan, err := cfg.CompileNetwork(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		r2, err := cfg.Run2LM(plan)
-		if err != nil {
-			return nil, nil, err
-		}
-		r1, err := cfg.RunAutoTM(plan)
-		if err != nil {
-			return nil, nil, err
-		}
+	names := []string{"inceptionv4", "resnet200", "densenet264"}
+	plans, err := runSlots(len(names), nil, func(i int) (*compiler.Plan, error) {
+		return cfg.CompileNetwork(names[i])
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	runs, err := runSlots(2*len(names), nil, func(i int) (CNNRun, error) {
+		return cfg.cnnRun(plans[i/2], i%2 == 1, nil)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+
+	var rows []Table2Row
+	for n, name := range names {
 		row := Table2Row{
-			Network: name,
-			TwoLM: CNNRun{
-				DRAMReadGB:   cfg.unscaleGB(r2.DRAMReadBytes()),
-				DRAMWriteGB:  cfg.unscaleGB(r2.DRAMWriteBytes()),
-				NVRAMReadGB:  cfg.unscaleGB(r2.NVRAMReadBytes()),
-				NVRAMWriteGB: cfg.unscaleGB(r2.NVRAMWriteBytes()),
-				RuntimeS:     cfg.unscaleSeconds(r2.Elapsed),
-			},
-			AutoTM: CNNRun{
-				DRAMReadGB:   cfg.unscaleGB(r1.DRAMReadBytes()),
-				DRAMWriteGB:  cfg.unscaleGB(r1.DRAMWriteBytes()),
-				NVRAMReadGB:  cfg.unscaleGB(r1.NVRAMReadBytes()),
-				NVRAMWriteGB: cfg.unscaleGB(r1.NVRAMWriteBytes()),
-				RuntimeS:     cfg.unscaleSeconds(r1.Elapsed),
-			},
-			Footprint: cfg.unscaleGB(plan.HeapSize),
+			Network:   name,
+			TwoLM:     runs[2*n],
+			AutoTM:    runs[2*n+1],
+			Footprint: cfg.unscaleGB(plans[n].HeapSize),
 		}
 		row.Speedup = row.TwoLM.RuntimeS / row.AutoTM.RuntimeS
 		row.NVRatio = (row.AutoTM.NVRAMReadGB + row.AutoTM.NVRAMWriteGB) /

@@ -50,7 +50,9 @@ func (c EmbedConfig) withDefaults() EmbedConfig {
 }
 
 // EmbedStudy runs inference and training with both placements and
-// returns the comparison table.
+// returns the comparison table. Each run builds its own system and
+// model, so the four runs execute concurrently: slot 2w+p holds
+// workload w (inference, training) under placement p (2LM, software).
 func EmbedStudy(cfg EmbedConfig) (*results.Table, error) {
 	cfg = cfg.withDefaults()
 	table := results.NewTable(
@@ -58,48 +60,46 @@ func EmbedStudy(cfg EmbedConfig) (*results.Table, error) {
 			mem.FormatBytes(cfg.Model.TotalBytes())),
 		"workload", "placement", "lookups_per_s", "hit_rate", "nvram_read", "nvram_write", "speedup")
 
-	for _, train := range []bool{false, true} {
-		workload := "inference"
-		if train {
-			workload = "training"
-		}
+	workloads := []string{"inference", "training"}
+	placements := []embed.Placement{embed.Flat2LM, embed.SoftwareManaged}
+	runs, err := runSlots(len(workloads)*len(placements), nil, func(i int) (embed.Result, error) {
+		workload, placement := workloads[i/len(placements)], placements[i%len(placements)]
 		model := cfg.Model
-		model.Train = train
-
-		var base float64
-		for _, placement := range []embed.Placement{embed.Flat2LM, embed.SoftwareManaged} {
-			mode := core.Mode2LM
-			if placement == embed.SoftwareManaged {
-				mode = core.Mode1LM
-			}
-			sys, err := core.New(core.Config{
-				Platform: platform.CascadeLake(1, cfg.Scale, 24),
-				Mode:     mode,
-			})
-			if err != nil {
-				return nil, err
-			}
-			m, err := embed.New(sys, model, placement)
-			if err != nil {
-				return nil, fmt.Errorf("embed study (%s/%v): %w", workload, placement, err)
-			}
-			res, err := m.Run(cfg.Steps)
-			if err != nil {
-				return nil, err
-			}
-			speedup := ""
-			if placement == embed.Flat2LM {
-				base = res.Elapsed
-			} else if res.Elapsed > 0 {
-				speedup = fmt.Sprintf("%.2fx", base/res.Elapsed)
-			}
-			table.AddRow(workload, placement.String(),
-				res.LookupsPerSecond()/1e6,
-				res.Counters.HitRate(),
-				fmt.Sprint(res.Counters.NVRAMRead),
-				fmt.Sprint(res.Counters.NVRAMWrite),
-				speedup)
+		model.Train = workload == "training"
+		mode := core.Mode2LM
+		if placement == embed.SoftwareManaged {
+			mode = core.Mode1LM
 		}
+		sys, err := core.New(core.Config{
+			Platform: platform.CascadeLake(1, cfg.Scale, 24),
+			Mode:     mode,
+		})
+		if err != nil {
+			return embed.Result{}, err
+		}
+		m, err := embed.New(sys, model, placement)
+		if err != nil {
+			return embed.Result{}, fmt.Errorf("embed study (%s/%v): %w", workload, placement, err)
+		}
+		return m.Run(cfg.Steps)
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for i, res := range runs {
+		placement := placements[i%len(placements)]
+		speedup := ""
+		if placement != embed.Flat2LM && res.Elapsed > 0 {
+			// Relative to the workload's 2LM run, its first slot.
+			speedup = fmt.Sprintf("%.2fx", runs[i-i%len(placements)].Elapsed/res.Elapsed)
+		}
+		table.AddRow(workloads[i/len(placements)], placement.String(),
+			res.LookupsPerSecond()/1e6,
+			res.Counters.HitRate(),
+			fmt.Sprint(res.Counters.NVRAMRead),
+			fmt.Sprint(res.Counters.NVRAMWrite),
+			speedup)
 	}
 	return table, nil
 }

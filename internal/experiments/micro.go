@@ -80,6 +80,10 @@ const fig4Array = 420 * uint64(1e9)
 
 // fig2Sweep runs one op over the thread/granularity sweep on a fresh
 // 1LM system per cell and returns the bandwidth table in GB/s.
+//
+// The cells share nothing, so they run concurrently (see runSlots),
+// each landing in its row-major slot: the table is the same at any
+// GOMAXPROCS.
 func (c MicroConfig) fig2Sweep(title string, op kernels.Op, store kernels.StoreType) (*results.Table, error) {
 	headers := []string{"threads", "sequential"}
 	for _, g := range c.Granularities {
@@ -87,27 +91,34 @@ func (c MicroConfig) fig2Sweep(title string, op kernels.Op, store kernels.StoreT
 	}
 	table := results.NewTable(title, headers...)
 
-	for _, threads := range c.Threads {
-		row := []any{threads}
-		// Sequential first, then each random granularity.
-		specs := []kernels.Spec{{Op: op, Pattern: mem.Sequential, Store: store, Threads: threads}}
-		for _, g := range c.Granularities {
-			specs = append(specs, kernels.Spec{Op: op, Pattern: mem.Random, Granularity: g, Store: store, Threads: threads})
+	// Sequential first, then each random granularity.
+	modes := c.accessModes()
+	bw, err := runSlots(len(c.Threads)*len(modes), nil, func(i int) (float64, error) {
+		spec := modes[i%len(modes)]
+		spec.Op = op
+		spec.Store = store
+		spec.Threads = c.Threads[i/len(modes)]
+		sys, err := c.new1LM()
+		if err != nil {
+			return 0, err
 		}
-		for _, spec := range specs {
-			sys, err := c.new1LM()
-			if err != nil {
-				return nil, err
-			}
-			region, err := sys.AddressSpace().AllocNVRAM(sys.Platform().ScaleBytes(fig2Array))
-			if err != nil {
-				return nil, err
-			}
-			res, err := kernels.Run(sys, region, spec)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, res.EffectiveBW()/mem.GB)
+		region, err := sys.AddressSpace().AllocNVRAM(sys.Platform().ScaleBytes(fig2Array))
+		if err != nil {
+			return 0, err
+		}
+		res, err := kernels.Run(sys, region, spec)
+		if err != nil {
+			return 0, err
+		}
+		return res.EffectiveBW() / mem.GB, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for r, threads := range c.Threads {
+		row := []any{threads}
+		for _, v := range bw[r*len(modes) : (r+1)*len(modes)] {
+			row = append(row, v)
 		}
 		table.AddRow(row...)
 	}
@@ -286,9 +297,9 @@ type Fig4Row struct {
 	MediaWriteA float64 // NVRAM media write amplification
 }
 
-// fig4Modes returns the access-mode sweep: sequential plus each random
-// granularity.
-func (c MicroConfig) fig4Modes() []kernels.Spec {
+// accessModes returns the access-mode sweep of Figures 2 and 4:
+// sequential plus each random granularity.
+func (c MicroConfig) accessModes() []kernels.Spec {
 	specs := []kernels.Spec{{Pattern: mem.Sequential}}
 	for _, g := range c.Granularities {
 		specs = append(specs, kernels.Spec{Pattern: mem.Random, Granularity: g})
@@ -297,19 +308,20 @@ func (c MicroConfig) fig4Modes() []kernels.Spec {
 }
 
 // fig4Panel primes a fresh over-capacity 2LM system per mode and runs
-// the kernel, returning one row per access mode.
+// the kernel, returning one row per access mode. The modes share
+// nothing, so they run concurrently, each row in its mode's slot.
 func (c MicroConfig) fig4Panel(op kernels.Op, store kernels.StoreType, threads int, dirtyPrime bool) ([]Fig4Row, error) {
-	var rows []Fig4Row
-	for _, base := range c.fig4Modes() {
+	modes := c.accessModes()
+	return runSlots(len(modes), nil, func(i int) (Fig4Row, error) {
 		sys, err := c.new2LM()
 		if err != nil {
-			return nil, err
+			return Fig4Row{}, err
 		}
 		region, err := sys.AddressSpace().Alloc(sys.Platform().ScaleBytes(fig4Array))
 		if err != nil {
-			return nil, err
+			return Fig4Row{}, err
 		}
-		spec := base
+		spec := modes[i]
 		spec.Op = op
 		spec.Store = store
 		spec.Threads = threads
@@ -317,17 +329,17 @@ func (c MicroConfig) fig4Panel(op kernels.Op, store kernels.StoreType, threads i
 		// the paper does with its deterministic benchmarks, so the
 		// measured pass misses on every access.
 		if err := kernels.PrimeFor(sys, region, spec, dirtyPrime); err != nil {
-			return nil, err
+			return Fig4Row{}, err
 		}
 		res, err := kernels.Run(sys, region, spec)
 		if err != nil {
-			return nil, err
+			return Fig4Row{}, err
 		}
 		mode := "sequential"
 		if spec.Pattern == mem.Random {
 			mode = fmt.Sprintf("random-%dB", spec.Granularity)
 		}
-		rows = append(rows, Fig4Row{
+		return Fig4Row{
 			Mode:        mode,
 			DRAMRead:    res.DRAMReadBW() / mem.GB,
 			DRAMWrite:   res.DRAMWriteBW() / mem.GB,
@@ -337,9 +349,8 @@ func (c MicroConfig) fig4Panel(op kernels.Op, store kernels.StoreType, threads i
 			HitRate:     res.Delta.HitRate(),
 			Amplif:      res.Delta.Amplification(),
 			MediaWriteA: sys.Controller().NVRAM.WriteAmplification(),
-		})
-	}
-	return rows, nil
+		}, nil
+	})
 }
 
 // fig4Table renders Fig4 rows.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"twolm/internal/results"
 )
 
 func TestRunSlotsResultsLandByIndex(t *testing.T) {
@@ -112,5 +115,58 @@ func TestRunSlotsLeavesNoGoroutine(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Errorf("goroutines %d -> %d after runSlots returned", before, after)
+	}
+}
+
+// TestSuiteExperimentsSameAtAnyParallelism: every suite experiment
+// that fans its independent runs out through runSlots must render the
+// same bytes on one worker as on four, so its rows are assembled in
+// slot order, never in the order the runs finish.
+func TestSuiteExperimentsSameAtAnyParallelism(t *testing.T) {
+	micro, cnn := testMicroConfig(), testCNNConfig()
+	fig4 := func(fig func(MicroConfig) (*results.Table, []Fig4Row, error)) func() (*results.Table, error) {
+		return func() (*results.Table, error) {
+			table, _, err := fig(micro)
+			return table, err
+		}
+	}
+	cases := []struct {
+		name string
+		run  func() (*results.Table, error)
+	}{
+		{"fig2a", func() (*results.Table, error) { return Fig2a(micro) }},
+		{"fig2b", func() (*results.Table, error) { return Fig2b(micro) }},
+		{"fig4a", fig4(Fig4a)},
+		{"fig4b", fig4(Fig4b)},
+		{"fig4c", fig4(Fig4c)},
+		{"table2", func() (*results.Table, error) {
+			table, _, err := Table2(cnn)
+			return table, err
+		}},
+		{"codesign", func() (*results.Table, error) { return CoDesign(cnn) }},
+		{"embedding", func() (*results.Table, error) { return EmbedStudy(testEmbedConfig()) }},
+		// Two Ways values are enough for a dispatch order that is not
+		// slot order.
+		{"ablation_associativity", func() (*results.Table, error) { return AblationAssociativity(cnn, []int{1, 4}) }},
+	}
+	csv := func(procs int, run func() (*results.Table, error)) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		table, err := run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := table.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, e := range cases {
+		t.Run(e.name, func(t *testing.T) {
+			serial, parallel := csv(1, e.run), csv(4, e.run)
+			if !bytes.Equal(serial, parallel) {
+				t.Errorf("CSV differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", serial, parallel)
+			}
+		})
 	}
 }

@@ -158,7 +158,7 @@ func BenchmarkFig4c(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(cfg)
+		res, err := experiments.Fig5(experiments.NewDenseNet(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.Fig6(cfg)
+		table, err := experiments.Fig6(experiments.NewDenseNet(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig10(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig10(cfg)
+		res, err := experiments.Fig10(experiments.NewDenseNet(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func BenchmarkFig10(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		_, rows, err := experiments.Table2(cfg)
+		_, rows, err := experiments.Table2(experiments.NewDenseNet(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -343,7 +343,7 @@ func BenchmarkAblationWritePolicy(b *testing.B) {
 func BenchmarkAblationAssociativity(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.AblationAssociativity(cfg, []int{1, 4})
+		table, err := experiments.AblationAssociativity(experiments.NewDenseNet(cfg), []int{1, 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func BenchmarkAblationAssociativity(b *testing.B) {
 func BenchmarkCoDesign(b *testing.B) {
 	cfg := benchCNN()
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.CoDesign(cfg)
+		table, err := experiments.CoDesign(experiments.NewDenseNet(cfg))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -122,17 +122,13 @@ func newRunner(cfg Config) (*runner, error) {
 func (r *runner) finish(kernel string, rounds int, output any) Result {
 	r.sys.DrainLLC()
 	r.sys.Sync(kernel+":drain", 0)
-	var series perfcounter.Series
-	for _, s := range r.sys.Series().Samples()[r.n0:] {
-		series.Append(s)
-	}
 	return Result{
 		Kernel:  kernel,
 		Elapsed: r.sys.Clock() - r.t0,
 		Delta:   r.sys.Counters().Sub(r.ctr0),
 		Rounds:  rounds,
 		Output:  output,
-		Series:  &series,
+		Series:  r.sys.Series().Since(r.n0),
 	}
 }
 

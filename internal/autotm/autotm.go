@@ -60,7 +60,8 @@ type Result struct {
 	Elapsed float64
 	// Counters holds the iteration's memory traffic.
 	Counters imc.Counters
-	// Series is the per-kernel trace (the paper's Figure 10).
+	// Series is the per-kernel trace (the paper's Figure 10), copied
+	// out of the system like compiler.ExecResult's.
 	Series *perfcounter.Series
 	// MoveInBytes and MoveOutBytes are the planner's explicit transfer
 	// volumes (scaled).
@@ -356,7 +357,7 @@ func (p *planner) execute(pl placement) (*Result, error) {
 	return &Result{
 		Elapsed:      p.sys.Clock() - start,
 		Counters:     p.sys.Counters(),
-		Series:       p.sys.Series(),
+		Series:       p.sys.Series().Since(0),
 		MoveInBytes:  p.moveIn,
 		MoveOutBytes: p.moveOut,
 		Spilled:      p.spills,

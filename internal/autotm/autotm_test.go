@@ -1,6 +1,7 @@
 package autotm
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +97,25 @@ func TestFitsInDRAMNoMovement(t *testing.T) {
 	}
 	if res.Counters.NVRAMWrite != 0 || res.Counters.NVRAMRead != 0 {
 		t.Errorf("NVRAM traffic despite fitting: %v", res.Counters)
+	}
+}
+
+// TestSeriesDetached: the returned series is a copy, so work the
+// system does after Execute leaves it unchanged.
+func TestSeriesDetached(t *testing.T) {
+	plan := buildPlan(t, 64)
+	sys := newSystem(t, core.Mode1LM, mem.AlignUp(plan.HeapSize/24, mem.Line))
+	res, err := Execute(plan, sys, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(res.Series.Samples())
+	sys.Sync("after", 1e-3)
+	if got := res.Series.Samples(); !slices.Equal(got, want) {
+		t.Errorf("a Sync after Execute changed the result's series: %d samples, want %d", len(got), len(want))
+	}
+	if n := sys.Series().Len(); n != len(want)+1 {
+		t.Errorf("system series has %d samples, want %d", n, len(want)+1)
 	}
 }
 

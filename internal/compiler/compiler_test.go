@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -225,6 +226,37 @@ func TestExecuteProducesTraffic(t *testing.T) {
 	// One labeled sample per kernel plus the drain.
 	if res.Series.Len() != len(plan.Prog.Kernels)+1 {
 		t.Errorf("series has %d samples, want %d", res.Series.Len(), len(plan.Prog.Kernels)+1)
+	}
+}
+
+// TestExecuteSeriesDetached: the returned series is a copy, so work
+// the system does after Execute leaves it unchanged.
+func TestExecuteSeriesDetached(t *testing.T) {
+	plan := compileTiny(t, 16, 1)
+	sys, err := core.New(core.Config{
+		Platform: platform.Config{
+			Sockets: 1, ChannelsPerSocket: 6,
+			DRAMPerChannel:  mem.MiB,
+			NVRAMPerChannel: 64 * mem.MiB,
+			Scale:           1, Threads: 24,
+		},
+		Mode:     core.Mode2LM,
+		LLCBytes: 16 * mem.KiB,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Execute(plan, sys, ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(res.Series.Samples())
+	sys.Sync("after", 1e-3)
+	if got := res.Series.Samples(); !slices.Equal(got, want) {
+		t.Errorf("a Sync after Execute changed the result's series: %d samples, want %d", len(got), len(want))
+	}
+	if n := sys.Series().Len(); n != len(want)+1 {
+		t.Errorf("system series has %d samples, want %d", n, len(want)+1)
 	}
 }
 

@@ -73,7 +73,9 @@ type ExecResult struct {
 	Elapsed float64
 	// Counters holds the iteration's memory-controller events.
 	Counters imc.Counters
-	// Series is the per-kernel counter trace (the paper's Figure 5).
+	// Series is the per-kernel counter trace (the paper's Figure 5),
+	// copied out of the system, so it does not change or keep the
+	// system alive after Execute returns.
 	Series *perfcounter.Series
 	// Heap is the region the program ran in.
 	Heap mem.Region
@@ -109,7 +111,7 @@ func Execute(plan *Plan, sys *core.System, cfg ExecConfig) (*ExecResult, error) 
 	return &ExecResult{
 		Elapsed:  sys.Clock() - start,
 		Counters: sys.Counters(),
-		Series:   sys.Series(),
+		Series:   sys.Series().Since(0),
 		Heap:     heap,
 	}, nil
 }

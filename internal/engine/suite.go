@@ -20,6 +20,14 @@
 // claim needs. The closing claims check reads those cells, so within
 // one run no experiment is simulated twice; run on its own, it computes
 // each missing fact itself.
+//
+// The CNN jobs (Figures 5, 6 and 10, Table II, the associativity
+// ablation and co-design) read one experiments.DenseNet, kept in
+// another cell of the run's scope: Figure 6, the ablation's
+// direct-mapped row and the 2LM reference of Table II and co-design
+// read the Figure 5 iteration, and Table II and co-design read the
+// Figure 10 one, each simulated once per run by whichever job needs it
+// first.
 
 package engine
 
@@ -71,6 +79,22 @@ func DefaultSuiteConfig(scale uint64, quick bool) SuiteConfig {
 func tableJob(name string, fn func() (*results.Table, error)) Job {
 	return Job{Name: name, Run: func(context.Context) ([]Artifact, error) {
 		t, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		return []Artifact{{Name: name, Table: t}}, nil
+	}}
+}
+
+// cnnJob is tableJob for an experiment that reads the run's DenseNet
+// 264 study.
+func cnnJob(name string, cnn experiments.CNNConfig, fn func(*experiments.DenseNet) (*results.Table, error)) Job {
+	return Job{Name: name, Run: func(ctx context.Context) ([]Artifact, error) {
+		d, err := denseNet(ctx, cnn)
+		if err != nil {
+			return nil, err
+		}
+		t, err := fn(d)
 		if err != nil {
 			return nil, err
 		}
@@ -146,9 +170,25 @@ func fig4Source(name string, fig func(experiments.MicroConfig) (*results.Table, 
 	}
 }
 
-func fig5Source(cnn experiments.CNNConfig) claimSource[experiments.Claim] {
+// denseNetCell is the key of the per-run cell holding the DenseNet 264
+// study every CNN job reads (see experiments.DenseNet).
+type denseNetCell struct{}
+
+// denseNet returns the DenseNet 264 study of the run ctx belongs to,
+// made on first use; outside RunJobs every call makes a fresh one.
+func denseNet(ctx context.Context, cnn experiments.CNNConfig) (*experiments.DenseNet, error) {
+	return Shared(ctx, denseNetCell{}, func() (*experiments.DenseNet, error) {
+		return experiments.NewDenseNet(cnn), nil
+	})
+}
+
+func fig5Source(ctx context.Context, cnn experiments.CNNConfig) claimSource[experiments.Claim] {
 	return func() ([]Artifact, experiments.Claim, error) {
-		r, err := experiments.Fig5(cnn)
+		d, err := denseNet(ctx, cnn)
+		if err != nil {
+			return nil, experiments.Claim{}, err
+		}
+		r, err := experiments.Fig5(d)
 		if err != nil {
 			return nil, experiments.Claim{}, err
 		}
@@ -161,9 +201,13 @@ func fig5Source(cnn experiments.CNNConfig) claimSource[experiments.Claim] {
 	}
 }
 
-func table2Source(cnn experiments.CNNConfig) claimSource[experiments.Claim] {
+func table2Source(ctx context.Context, cnn experiments.CNNConfig) claimSource[experiments.Claim] {
 	return func() ([]Artifact, experiments.Claim, error) {
-		t, rows, err := experiments.Table2(cnn)
+		d, err := denseNet(ctx, cnn)
+		if err != nil {
+			return nil, experiments.Claim{}, err
+		}
+		t, rows, err := experiments.Table2(d)
 		if err != nil {
 			return nil, experiments.Claim{}, err
 		}
@@ -207,11 +251,11 @@ func checkClaims(ctx context.Context, micro experiments.MicroConfig, cnn experim
 	if err != nil {
 		return nil, err
 	}
-	c3, err := consume(ctx, cellC3, fig5Source(cnn))
+	c3, err := consume(ctx, cellC3, fig5Source(ctx, cnn))
 	if err != nil {
 		return nil, err
 	}
-	c4, err := consume(ctx, cellC4, table2Source(cnn))
+	c4, err := consume(ctx, cellC4, table2Source(ctx, cnn))
 	if err != nil {
 		return nil, err
 	}
@@ -259,11 +303,15 @@ func Suite(cfg SuiteConfig) []Job {
 
 		// CNN case study: Figures 5, 6, 10 and Table II.
 		{Name: "fig5_densenet", Run: func(ctx context.Context) ([]Artifact, error) {
-			return produce(ctx, cellC3, fig5Source(cnn))
+			return produce(ctx, cellC3, fig5Source(ctx, cnn))
 		}},
-		tableJob("fig6_dense_block_kernels", func() (*results.Table, error) { return experiments.Fig6(cnn) }),
-		{Name: "fig10_autotm", Run: func(context.Context) ([]Artifact, error) {
-			r, err := experiments.Fig10(cnn)
+		cnnJob("fig6_dense_block_kernels", cnn, experiments.Fig6),
+		{Name: "fig10_autotm", Run: func(ctx context.Context) ([]Artifact, error) {
+			d, err := denseNet(ctx, cnn)
+			if err != nil {
+				return nil, err
+			}
+			r, err := experiments.Fig10(d)
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +321,7 @@ func Suite(cfg SuiteConfig) []Job {
 			}, nil
 		}},
 		{Name: "table2_cnn_2lm_vs_autotm", Run: func(ctx context.Context) ([]Artifact, error) {
-			return produce(ctx, cellC4, table2Source(cnn))
+			return produce(ctx, cellC4, table2Source(ctx, cnn))
 		}},
 
 		// Graph case study: Figures 7, 8, 9 and the Sage table. One job:
@@ -285,8 +333,10 @@ func Suite(cfg SuiteConfig) []Job {
 		// Ablations and co-design.
 		tableJob("ablation_ddo", func() (*results.Table, error) { return experiments.AblationDDO(micro) }),
 		tableJob("ablation_write_policy", func() (*results.Table, error) { return experiments.AblationWritePolicy(micro) }),
-		tableJob("ablation_associativity", func() (*results.Table, error) { return experiments.AblationAssociativity(cnn, nil) }),
-		tableJob("codesign_dma", func() (*results.Table, error) { return experiments.CoDesign(cnn) }),
+		cnnJob("ablation_associativity", cnn, func(d *experiments.DenseNet) (*results.Table, error) {
+			return experiments.AblationAssociativity(d, nil)
+		}),
+		cnnJob("codesign_dma", cnn, experiments.CoDesign),
 		tableJob("embedding_dlrm", func() (*results.Table, error) { return experiments.EmbedStudy(embed) }),
 
 		// Engine self-check: a line-interleaved channel split reproduces

@@ -114,13 +114,15 @@ func AblationWritePolicy(cfg MicroConfig) (*results.Table, error) {
 // hypothetical cache associativities, quantifying how much of the
 // paper's limitation #1 (conflict misses from direct mapping) an
 // associative DRAM cache would recover — and how much it would not,
-// since the dead-data write-backs (limitation #3) remain.
-func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
-	cfg = cfg.withDefaults()
+// since the dead-data write-backs (limitation #3) remain. Its
+// direct-mapped run, the baseline of vs_direct_mapped, is Figure 5's
+// iteration.
+func AblationAssociativity(d *DenseNet, ways []int) (*results.Table, error) {
+	cfg := d.cfg
 	if len(ways) == 0 {
 		ways = []int{1, 2, 4, 8}
 	}
-	plan, err := cfg.CompileNetwork("densenet264")
+	plan, err := d.densePlan()
 	if err != nil {
 		return nil, err
 	}
@@ -134,23 +136,22 @@ func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
 		order[i] = i
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ways[b], ways[a]) })
-	runs, err := runSlots(len(ways), order, func(i int) (*compiler.ExecResult, error) {
+	policyAt := func(ways int) imc.Policy {
 		p := imc.HardwarePolicy()
-		p.Ways = ways[i]
-		sys, err := core.New(core.Config{
-			Platform: platform.CascadeLake(1, cfg.Scale, 24),
-			Mode:     core.Mode2LM,
-			Policy:   &p,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return compiler.Execute(plan, sys, compiler.ExecConfig{WarmupIterations: cfg.Warmup})
+		p.Ways = ways
+		return p
+	}
+	runs, err := runSlots(len(ways), order, func(i int) (*compiler.ExecResult, error) {
+		return d.run2LM(plan, policyAt(ways[i]))
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := cfg.unscaleSeconds(runs[0].Elapsed)
+	direct, err := d.run2LM(plan, policyAt(1))
+	if err != nil {
+		return nil, err
+	}
+	base := cfg.unscaleSeconds(direct.Elapsed)
 	for i, res := range runs {
 		rt := cfg.unscaleSeconds(res.Elapsed)
 		table.AddRow(ways[i], rt, res.Counters.HitRate(),
@@ -164,10 +165,10 @@ func AblationAssociativity(cfg CNNConfig, ways []int) (*results.Table, error) {
 // CoDesign runs the paper's closing proposal: AutoTM's tensor moves
 // executed by (a) CPU cores synchronously (the measured baseline),
 // (b) a current-generation I/O DMA engine, and (c) a co-designed
-// high-bandwidth asynchronous mover, against the 2LM reference.
-func CoDesign(cfg CNNConfig) (*results.Table, error) {
-	cfg = cfg.withDefaults()
-	plan, err := cfg.CompileNetwork("densenet264")
+// high-bandwidth asynchronous mover, against the 2LM reference. The
+// reference and the CPU-copy run are the Figure 5 and Figure 10 iterations.
+func CoDesign(d *DenseNet) (*results.Table, error) {
+	plan, err := d.densePlan()
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +188,7 @@ func CoDesign(cfg CNNConfig) (*results.Table, error) {
 	// Slot 0 is the 2LM reference, the rest one AutoTM run per mover;
 	// the runs share only the compiled plan, so they run concurrently.
 	runs, err := runSlots(len(mechanisms), nil, func(i int) (CNNRun, error) {
-		return cfg.cnnRun(plan, i > 0, mechanisms[i].engine)
+		return d.cnnRun(plan, i > 0, mechanisms[i].engine)
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"strconv"
 	"strings"
 	"testing"
+
+	"twolm/internal/compiler"
+	"twolm/internal/imc"
 )
 
 // TestAblationDDO: disabling the optimization adds one DRAM read per
@@ -68,7 +72,7 @@ func TestAblationWritePolicy(t *testing.T) {
 // paper's claim that the pathology is the cache's ignorance of data
 // lifetimes, which no associativity fixes.
 func TestAblationAssociativity(t *testing.T) {
-	table, err := AblationAssociativity(testCNNConfig(), []int{1, 4})
+	table, err := AblationAssociativity(NewDenseNet(testCNNConfig()), []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +92,46 @@ func TestAblationAssociativity(t *testing.T) {
 	}
 }
 
+// TestAblationAssociativityBaseIsDirectMapped: vs_direct_mapped
+// divides by the Ways=1 run wherever it sits in ways. The real runs
+// differ by less than the column's two decimals, so the DenseNet is
+// seeded with a direct-mapped iteration that took half as long.
+func TestAblationAssociativityBaseIsDirectMapped(t *testing.T) {
+	d := NewDenseNet(testCNNConfig())
+	plan, err := d.densePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured, err := d.simulate2LM(plan, imc.HardwarePolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := *measured
+	fast.Elapsed /= 2
+	if _, err := d.twoLM.get("seed", func() (*compiler.ExecResult, error) { return &fast, nil }); err != nil {
+		t.Fatal(err)
+	}
+	table, err := AblationAssociativity(d, []int{4, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(table.Rows) != 2 || table.Rows[0][0] != "4" || table.Rows[1][0] != "1" {
+		t.Fatalf("rows = %v, want ways 4 then 1", table.Rows)
+	}
+	if got := table.Rows[1][5]; got != "1.00x" {
+		t.Errorf("Ways=1 vs_direct_mapped = %s, want 1.00x", got)
+	}
+	rt1, rt4 := cell(t, table.Rows, 1, 1), cell(t, table.Rows, 0, 1)
+	if got, want := table.Rows[0][5], fmt.Sprintf("%.2fx", rt1/rt4); got != want {
+		t.Errorf("Ways=4 vs_direct_mapped = %s, want %s (runtime %.2f s direct-mapped, %.2f s 4-way)", got, want, rt1, rt4)
+	}
+}
+
 // TestCoDesign: the paper's closing argument quantified — a current
 // I/O-class DMA engine underperforms CPU copies, a co-designed mover
 // beats them, and everything beats the 2LM hardware cache.
 func TestCoDesign(t *testing.T) {
-	table, err := CoDesign(testCNNConfig())
+	table, err := CoDesign(NewDenseNet(testCNNConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,12 @@ func TestCheckClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig5, err := Fig5(cnn)
+	dense := NewDenseNet(cnn)
+	fig5, err := Fig5(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, t2rows, err := Table2(cnn)
+	_, t2rows, err := Table2(dense)
 	if err != nil {
 		t.Fatal(err)
 	}

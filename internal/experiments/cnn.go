@@ -8,6 +8,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"twolm/internal/autotm"
 	"twolm/internal/compiler"
@@ -100,37 +101,131 @@ func (c CNNConfig) CompileNetwork(name string) (*compiler.Plan, error) {
 	return compiler.Compile(prog, c.Scale)
 }
 
-// Run2LM executes a plan on a fresh single-socket 2LM system.
-func (c CNNConfig) Run2LM(plan *compiler.Plan) (*compiler.ExecResult, error) {
-	c = c.withDefaults()
+// DenseNet is the DenseNet 264 study the CNN experiments read: its
+// compiled plan, its 2LM iteration at the hardware policy (read by
+// Figures 5 and 6, Table II, the co-design reference and the
+// direct-mapped row of the associativity ablation) and its AutoTM
+// iteration with CPU copies (Figure 10, Table II and co-design). Each
+// is computed at most once, on first use, so experiments given the same
+// DenseNet simulate each iteration once between them; a caller that
+// arrives while one is computed waits for it. The results are shared:
+// callers must not modify them. The experiments' other runs (the other
+// two networks, other associativities, the DMA movers) are simulated
+// afresh and not kept.
+//
+// The suite keeps one DenseNet per run; any other caller makes its own
+// with NewDenseNet.
+type DenseNet struct {
+	cfg    CNNConfig
+	plan   onceVal[*compiler.Plan]
+	twoLM  onceVal[*compiler.ExecResult]
+	autoTM onceVal[*autotm.Result]
+
+	// sims counts the iterations simulated through this DenseNet; tests
+	// check that no experiment simulates one twice.
+	mu   sync.Mutex
+	sims map[simKey]int
+}
+
+// simKey names one simulated iteration.
+type simKey struct {
+	prog   string     // the compiled program's name
+	policy imc.Policy // the 2LM controller policy; zero under AutoTM
+	mover  string     // the AutoTM mover's name; "" for CPU copies
+}
+
+// NewDenseNet returns a DenseNet that has computed nothing yet.
+func NewDenseNet(cfg CNNConfig) *DenseNet { return &DenseNet{cfg: cfg.withDefaults()} }
+
+// densePlan returns the DenseNet 264 plan.
+func (d *DenseNet) densePlan() (*compiler.Plan, error) {
+	return d.plan.get("densenet264 compile", func() (*compiler.Plan, error) {
+		return d.cfg.CompileNetwork("densenet264")
+	})
+}
+
+// compile returns network name's plan: the shared one for DenseNet 264,
+// a fresh compile for the other networks.
+func (d *DenseNet) compile(name string) (*compiler.Plan, error) {
+	if name == "densenet264" {
+		return d.densePlan()
+	}
+	return d.cfg.CompileNetwork(name)
+}
+
+// isDense reports whether plan is the shared DenseNet 264 plan,
+// compiling that plan if no caller has yet.
+func (d *DenseNet) isDense(plan *compiler.Plan) bool {
+	dense, err := d.densePlan()
+	return err == nil && plan == dense
+}
+
+// run2LM returns plan's 2LM iteration at controller policy p: the
+// shared one for the DenseNet plan at the hardware policy, a fresh
+// simulation otherwise.
+func (d *DenseNet) run2LM(plan *compiler.Plan, p imc.Policy) (*compiler.ExecResult, error) {
+	if p == imc.HardwarePolicy() && d.isDense(plan) {
+		return d.twoLM.get("densenet264 2LM iteration", func() (*compiler.ExecResult, error) {
+			return d.simulate2LM(plan, p)
+		})
+	}
+	return d.simulate2LM(plan, p)
+}
+
+// runAutoTM returns plan's AutoTM iteration with the tensor moves
+// executed by mover (nil: synchronous CPU copies): the shared one for
+// the DenseNet plan with CPU copies, a fresh simulation otherwise.
+func (d *DenseNet) runAutoTM(plan *compiler.Plan, mover *dma.Engine) (*autotm.Result, error) {
+	if mover == nil && d.isDense(plan) {
+		return d.autoTM.get("densenet264 AutoTM iteration", func() (*autotm.Result, error) {
+			return d.simulateAutoTM(plan, nil)
+		})
+	}
+	return d.simulateAutoTM(plan, mover)
+}
+
+// simulate2LM executes plan on a fresh single-socket 2LM system at
+// controller policy p.
+func (d *DenseNet) simulate2LM(plan *compiler.Plan, p imc.Policy) (*compiler.ExecResult, error) {
+	d.count(simKey{prog: plan.Prog.Name, policy: p})
 	sys, err := core.New(core.Config{
-		Platform: platform.CascadeLake(1, c.Scale, 24),
+		Platform: platform.CascadeLake(1, d.cfg.Scale, 24),
 		Mode:     core.Mode2LM,
+		Policy:   &p,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return compiler.Execute(plan, sys, compiler.ExecConfig{WarmupIterations: c.Warmup})
+	return compiler.Execute(plan, sys, compiler.ExecConfig{WarmupIterations: d.cfg.Warmup})
 }
 
-// RunAutoTM executes a plan on a fresh single-socket 1LM system under
-// software-managed tensor movement.
-func (c CNNConfig) RunAutoTM(plan *compiler.Plan) (*autotm.Result, error) {
-	return c.runAutoTM(plan, nil)
-}
-
-// runAutoTM is RunAutoTM with the tensor moves executed by mover (nil:
-// synchronous CPU copies).
-func (c CNNConfig) runAutoTM(plan *compiler.Plan, mover *dma.Engine) (*autotm.Result, error) {
-	c = c.withDefaults()
+// simulateAutoTM executes plan on a fresh single-socket 1LM system
+// under software-managed tensor movement, the moves executed by mover
+// (nil: synchronous CPU copies).
+func (d *DenseNet) simulateAutoTM(plan *compiler.Plan, mover *dma.Engine) (*autotm.Result, error) {
+	key := simKey{prog: plan.Prog.Name}
+	if mover != nil {
+		key.mover = mover.Name
+	}
+	d.count(key)
 	sys, err := core.New(core.Config{
-		Platform: platform.CascadeLake(1, c.Scale, 24),
+		Platform: platform.CascadeLake(1, d.cfg.Scale, 24),
 		Mode:     core.Mode1LM,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return autotm.Execute(plan, sys, autotm.Config{Mover: mover})
+}
+
+// count records one simulation of k.
+func (d *DenseNet) count(k simKey) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.sims == nil {
+		d.sims = make(map[simKey]int)
+	}
+	d.sims[k]++
 }
 
 // Fig5Result bundles the Figure 5 artifacts: the per-kernel trace
@@ -152,13 +247,13 @@ type Fig5Result struct {
 // Fig5 reproduces Figure 5: the memory behavior of one 2LM training
 // iteration of DenseNet 264 — MIPS (a), tag statistics (b), bandwidth
 // (c) and heap liveness (d).
-func Fig5(cfg CNNConfig) (*Fig5Result, error) {
-	cfg = cfg.withDefaults()
-	plan, err := cfg.CompileNetwork("densenet264")
+func Fig5(d *DenseNet) (*Fig5Result, error) {
+	cfg := d.cfg
+	plan, err := d.densePlan()
 	if err != nil {
 		return nil, err
 	}
-	exec, err := cfg.Run2LM(plan)
+	exec, err := d.run2LM(plan, imc.HardwarePolicy())
 	if err != nil {
 		return nil, err
 	}
@@ -228,14 +323,14 @@ func Fig5(cfg CNNConfig) (*Fig5Result, error) {
 // Fig6 reproduces Figure 6: a high-resolution bandwidth snapshot of
 // consecutive dense-block kernels during the DenseNet forward pass,
 // annotated with kernel names — exposing Concat and BatchNorm as the
-// bottleneck kernels.
-func Fig6(cfg CNNConfig) (*results.Table, error) {
-	cfg = cfg.withDefaults()
-	plan, err := cfg.CompileNetwork("densenet264")
+// bottleneck kernels. It reads Figure 5's iteration.
+func Fig6(d *DenseNet) (*results.Table, error) {
+	cfg := d.cfg
+	plan, err := d.densePlan()
 	if err != nil {
 		return nil, err
 	}
-	exec, err := cfg.Run2LM(plan)
+	exec, err := d.run2LM(plan, imc.HardwarePolicy())
 	if err != nil {
 		return nil, err
 	}
@@ -277,14 +372,14 @@ type Fig10Result struct {
 }
 
 // Fig10 reproduces Figure 10: memory bandwidth during one DenseNet 264
-// iteration under AutoTM.
-func Fig10(cfg CNNConfig) (*Fig10Result, error) {
-	cfg = cfg.withDefaults()
-	plan, err := cfg.CompileNetwork("densenet264")
+// iteration under AutoTM with CPU copies.
+func Fig10(d *DenseNet) (*Fig10Result, error) {
+	cfg := d.cfg
+	plan, err := d.densePlan()
 	if err != nil {
 		return nil, err
 	}
-	res, err := cfg.RunAutoTM(plan)
+	res, err := d.runAutoTM(plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -343,27 +438,28 @@ type CNNRun struct {
 	RuntimeS                                           float64
 }
 
-// cnnRun executes plan on a fresh system, in 2LM or under AutoTM with
-// the tensor moves executed by mover (nil: synchronous CPU copies), and
-// returns its traffic and runtime in unscaled units.
-func (c CNNConfig) cnnRun(plan *compiler.Plan, autoTM bool, mover *dma.Engine) (CNNRun, error) {
+// cnnRun returns plan's iteration in 2LM at the hardware policy or
+// under AutoTM with the tensor moves executed by mover (nil:
+// synchronous CPU copies), in unscaled units.
+func (d *DenseNet) cnnRun(plan *compiler.Plan, autoTM bool, mover *dma.Engine) (CNNRun, error) {
 	var (
 		ctr     imc.Counters
 		elapsed float64
 	)
 	if autoTM {
-		r, err := c.runAutoTM(plan, mover)
+		r, err := d.runAutoTM(plan, mover)
 		if err != nil {
 			return CNNRun{}, err
 		}
 		ctr, elapsed = r.Counters, r.Elapsed
 	} else {
-		r, err := c.Run2LM(plan)
+		r, err := d.run2LM(plan, imc.HardwarePolicy())
 		if err != nil {
 			return CNNRun{}, err
 		}
 		ctr, elapsed = r.Counters, r.Elapsed
 	}
+	c := d.cfg
 	return CNNRun{
 		DRAMReadGB:   c.unscaleGB(ctr.DRAMRead * mem.Line),
 		DRAMWriteGB:  c.unscaleGB(ctr.DRAMWrite * mem.Line),
@@ -376,23 +472,23 @@ func (c CNNConfig) cnnRun(plan *compiler.Plan, autoTM bool, mover *dma.Engine) (
 // Table2 reproduces Table II: data moved and execution time for the
 // three CNNs in 2LM and under AutoTM.
 //
-// Each run builds its own system and only reads its network's compiled
-// plan, so the six runs execute concurrently: slot 2n is network n's
-// 2LM run and slot 2n+1 its AutoTM run.
-func Table2(cfg CNNConfig) (*results.Table, []Table2Row, error) {
-	cfg = cfg.withDefaults()
+// The runs only read their network's compiled plan, so the six execute
+// concurrently: slot 2n is network n's 2LM run and slot 2n+1 its
+// AutoTM run. DenseNet's two are the shared iterations of d.
+func Table2(d *DenseNet) (*results.Table, []Table2Row, error) {
+	cfg := d.cfg
 	table := results.NewTable("Table II: data moved (GB) and runtime (s), 2LM vs AutoTM",
 		"network", "mode", "dram_read", "dram_write", "nvram_read", "nvram_write", "runtime_s", "speedup")
 
 	names := []string{"inceptionv4", "resnet200", "densenet264"}
 	plans, err := runSlots(len(names), nil, func(i int) (*compiler.Plan, error) {
-		return cfg.CompileNetwork(names[i])
+		return d.compile(names[i])
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	runs, err := runSlots(2*len(names), nil, func(i int) (CNNRun, error) {
-		return cfg.cnnRun(plans[i/2], i%2 == 1, nil)
+		return d.cnnRun(plans[i/2], i%2 == 1, nil)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -39,7 +39,7 @@ func TestCompileNetworkNames(t *testing.T) {
 // Figure 5 signatures: dirty misses dominate clean misses, and the
 // overall hit rate is well below 1.
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(testCNNConfig())
+	res, err := Fig5(NewDenseNet(testCNNConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFig5Shape(t *testing.T) {
 // TestFig6ConcatAndBatchNormAreBottlenecks: within dense-block kernels,
 // the memory-bound Concat/BatchNorm take longer per byte than convs.
 func TestFig6ConcatAndBatchNormAreBottlenecks(t *testing.T) {
-	table, err := Fig6(testCNNConfig())
+	table, err := Fig6(NewDenseNet(testCNNConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig6ConcatAndBatchNormAreBottlenecks(t *testing.T) {
 // TestFig10PhaseSeparation: AutoTM writes NVRAM only in the forward
 // pass and reads it only in the backward pass.
 func TestFig10PhaseSeparation(t *testing.T) {
-	res, err := Fig10(testCNNConfig())
+	res, err := Fig10(NewDenseNet(testCNNConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestFig10PhaseSeparation(t *testing.T) {
 // AutoTM wins on every network, by more on DenseNet than Inception,
 // with 40-70% of the NVRAM traffic and comparable DRAM traffic.
 func TestTable2Shape(t *testing.T) {
-	_, rows, err := Table2(testCNNConfig())
+	_, rows, err := Table2(NewDenseNet(testCNNConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

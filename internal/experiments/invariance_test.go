@@ -36,7 +36,8 @@ func TestScaleInvarianceCNN(t *testing.T) {
 	get := func(scale uint64) (hit, dirtyShare, speedup float64) {
 		cfg := testCNNConfig()
 		cfg.Scale = scale
-		_, rows, err := Table2(cfg)
+		dense := NewDenseNet(cfg)
+		_, rows, err := Table2(dense)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,7 @@ func TestScaleInvarianceCNN(t *testing.T) {
 				dn = r
 			}
 		}
-		res, err := Fig5(cfg)
+		res, err := Fig5(dense)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,3 +56,26 @@ func runSlot[T any](i int, run func(i int) (T, error)) (res T, err error) {
 	}()
 	return run(i)
 }
+
+// onceVal is a value computed at most once: callers of get that arrive
+// while the first call runs wait for its result, and a panic in that
+// call becomes the error every caller gets.
+type onceVal[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
+
+// get returns the value, computing it with fn on the first call; what
+// names the value in a panic's error.
+func (o *onceVal[T]) get(what string, fn func() (T, error)) (T, error) {
+	o.once.Do(func() {
+		defer func() {
+			if r := recover(); r != nil {
+				o.err = fmt.Errorf("experiments: %s panicked: %v", what, r)
+			}
+		}()
+		o.val, o.err = fn()
+	})
+	return o.val, o.err
+}

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"twolm/internal/imc"
 	"twolm/internal/results"
 )
 
@@ -118,55 +121,195 @@ func TestRunSlotsLeavesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestSuiteExperimentsSameAtAnyParallelism: every suite experiment
-// that fans its independent runs out through runSlots must render the
-// same bytes on one worker as on four, so its rows are assembled in
-// slot order, never in the order the runs finish.
-func TestSuiteExperimentsSameAtAnyParallelism(t *testing.T) {
-	micro, cnn := testMicroConfig(), testCNNConfig()
-	fig4 := func(fig func(MicroConfig) (*results.Table, []Fig4Row, error)) func() (*results.Table, error) {
-		return func() (*results.Table, error) {
-			table, _, err := fig(micro)
-			return table, err
+// csvBytes concatenates the CSV renderings of tables and series, the
+// bytes the suite writes for them.
+func csvBytes(parts ...interface{ WriteCSV(io.Writer) error }) ([]byte, error) {
+	var b bytes.Buffer
+	for _, p := range parts {
+		if err := p.WriteCSV(&b); err != nil {
+			return nil, err
 		}
 	}
-	cases := []struct {
+	return b.Bytes(), nil
+}
+
+// tableCSV adapts a single-table experiment to csvBytes.
+func tableCSV(t *results.Table, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return csvBytes(t)
+}
+
+// cnnExperiments are the experiments that read a DenseNet, each
+// rendered as the CSV bytes of its artifacts. The associativity
+// ablation runs at Ways {1, 4}: two values are enough for a dispatch
+// order that is not slot order.
+var cnnExperiments = []struct {
+	name string
+	run  func(d *DenseNet) ([]byte, error)
+}{
+	{"fig5", func(d *DenseNet) ([]byte, error) {
+		r, err := Fig5(d)
+		if err != nil {
+			return nil, err
+		}
+		return csvBytes(r.Summary, r.Liveness, r.Trace)
+	}},
+	{"fig6", func(d *DenseNet) ([]byte, error) { return tableCSV(Fig6(d)) }},
+	{"fig10", func(d *DenseNet) ([]byte, error) {
+		r, err := Fig10(d)
+		if err != nil {
+			return nil, err
+		}
+		return csvBytes(r.PhaseTable, r.Trace)
+	}},
+	{"table2", func(d *DenseNet) ([]byte, error) {
+		t, _, err := Table2(d)
+		return tableCSV(t, err)
+	}},
+	{"codesign", func(d *DenseNet) ([]byte, error) { return tableCSV(CoDesign(d)) }},
+	{"ablation_associativity", func(d *DenseNet) ([]byte, error) {
+		return tableCSV(AblationAssociativity(d, []int{1, 4}))
+	}},
+}
+
+// TestSuiteExperimentsSameAtAnyParallelism: every suite experiment
+// that fans its independent runs out through runSlots, and every one
+// that reads a DenseNet, must render the same bytes on one worker as on
+// four, so its rows are assembled in slot order, never in the order the
+// runs finish.
+func TestSuiteExperimentsSameAtAnyParallelism(t *testing.T) {
+	micro, cnn := testMicroConfig(), testCNNConfig()
+	fig4 := func(fig func(MicroConfig) (*results.Table, []Fig4Row, error)) func() ([]byte, error) {
+		return func() ([]byte, error) {
+			table, _, err := fig(micro)
+			return tableCSV(table, err)
+		}
+	}
+	type experiment struct {
 		name string
-		run  func() (*results.Table, error)
-	}{
-		{"fig2a", func() (*results.Table, error) { return Fig2a(micro) }},
-		{"fig2b", func() (*results.Table, error) { return Fig2b(micro) }},
+		run  func() ([]byte, error)
+	}
+	cases := []experiment{
+		{"fig2a", func() ([]byte, error) { return tableCSV(Fig2a(micro)) }},
+		{"fig2b", func() ([]byte, error) { return tableCSV(Fig2b(micro)) }},
 		{"fig4a", fig4(Fig4a)},
 		{"fig4b", fig4(Fig4b)},
 		{"fig4c", fig4(Fig4c)},
-		{"table2", func() (*results.Table, error) {
-			table, _, err := Table2(cnn)
-			return table, err
-		}},
-		{"codesign", func() (*results.Table, error) { return CoDesign(cnn) }},
-		{"embedding", func() (*results.Table, error) { return EmbedStudy(testEmbedConfig()) }},
-		// Two Ways values are enough for a dispatch order that is not
-		// slot order.
-		{"ablation_associativity", func() (*results.Table, error) { return AblationAssociativity(cnn, []int{1, 4}) }},
+		{"embedding", func() ([]byte, error) { return tableCSV(EmbedStudy(testEmbedConfig())) }},
 	}
-	csv := func(procs int, run func() (*results.Table, error)) []byte {
+	for _, e := range cnnExperiments {
+		cases = append(cases, experiment{e.name, func() ([]byte, error) { return e.run(NewDenseNet(cnn)) }})
+	}
+	render := func(procs int, run func() ([]byte, error)) []byte {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		table, err := run()
+		b, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var b bytes.Buffer
-		if err := table.WriteCSV(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
+		return b
 	}
 	for _, e := range cases {
 		t.Run(e.name, func(t *testing.T) {
-			serial, parallel := csv(1, e.run), csv(4, e.run)
+			serial, parallel := render(1, e.run), render(4, e.run)
 			if !bytes.Equal(serial, parallel) {
 				t.Errorf("CSV differs between GOMAXPROCS 1 and 4:\n%s\nvs\n%s", serial, parallel)
 			}
 		})
+	}
+}
+
+// TestDenseNetSharedOnce: the experiments reading one DenseNet, run
+// concurrently as the suite's jobs are, render the bytes each renders
+// alone, and between them simulate no iteration twice — the DenseNet
+// 2LM and CPU-copy AutoTM iterations exactly once each.
+func TestDenseNetSharedOnce(t *testing.T) {
+	cnn := testCNNConfig()
+	alone := make([][]byte, len(cnnExperiments))
+	for i, e := range cnnExperiments {
+		b, err := e.run(NewDenseNet(cnn))
+		if err != nil {
+			t.Fatalf("%s alone: %v", e.name, err)
+		}
+		alone[i] = b
+	}
+
+	d := NewDenseNet(cnn)
+	shared := make([][]byte, len(cnnExperiments))
+	errs := make([]error, len(cnnExperiments))
+	var wg sync.WaitGroup
+	for i, e := range cnnExperiments {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[i], errs[i] = e.run(d)
+		}()
+	}
+	wg.Wait()
+	for i, e := range cnnExperiments {
+		if errs[i] != nil {
+			t.Fatalf("%s on the shared DenseNet: %v", e.name, errs[i])
+		}
+		if !bytes.Equal(shared[i], alone[i]) {
+			t.Errorf("%s: bytes on the shared DenseNet differ from its run alone:\n%s\nvs\n%s", e.name, shared[i], alone[i])
+		}
+	}
+
+	plan, err := d.densePlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []simKey{
+		{prog: plan.Prog.Name, policy: imc.HardwarePolicy()},
+		{prog: plan.Prog.Name},
+	} {
+		if _, ok := d.sims[k]; !ok {
+			t.Errorf("%+v never simulated", k)
+		}
+	}
+	for k, n := range d.sims {
+		if n != 1 {
+			t.Errorf("%+v simulated %d times, want 1", k, n)
+		}
+	}
+}
+
+// TestOnceValSharesOneCall: callers arriving while the first call runs
+// wait for its value, and a panic becomes every caller's error.
+func TestOnceValSharesOneCall(t *testing.T) {
+	var o onceVal[int]
+	var calls atomic.Int64
+	release := make(chan struct{})
+	got := make([]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = o.get("value", func() (int, error) {
+				calls.Add(1)
+				<-release
+				return 42, nil
+			})
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Errorf("fn ran %d times, want 1", calls.Load())
+	}
+	for i, v := range got {
+		if v != 42 {
+			t.Errorf("caller %d got %d, want 42", i, v)
+		}
+	}
+
+	var p onceVal[int]
+	for range 2 {
+		_, err := p.get("value", func() (int, error) { panic("boom") })
+		if err == nil || !strings.Contains(err.Error(), "value panicked: boom") {
+			t.Fatalf("err = %v, want the panic", err)
+		}
 	}
 }

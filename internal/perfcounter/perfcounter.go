@@ -7,6 +7,7 @@ package perfcounter
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"twolm/internal/imc"
 )
@@ -68,6 +69,13 @@ func (ts *Series) Append(s Sample) { ts.samples = append(ts.samples, s) }
 // Samples returns the recorded samples (shared backing array; callers
 // must not mutate).
 func (ts *Series) Samples() []Sample { return ts.samples }
+
+// Since returns a new series holding a copy of the samples from index
+// i on. It shares no memory with ts, so later appends to ts leave it
+// unchanged and holding it keeps nothing else of ts's owner alive.
+func (ts *Series) Since(i int) *Series {
+	return &Series{samples: slices.Clone(ts.samples[i:])}
+}
 
 // Len returns the number of samples.
 func (ts *Series) Len() int { return len(ts.samples) }

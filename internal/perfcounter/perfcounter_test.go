@@ -1,6 +1,7 @@
 package perfcounter
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -44,6 +45,30 @@ func TestSeriesTotalsAndDuration(t *testing.T) {
 	}
 	if ts.Len() != 2 {
 		t.Errorf("Len = %d, want 2", ts.Len())
+	}
+}
+
+// TestSinceCopies: Since holds the samples from i on, and neither
+// later appends to the source nor writes to the copy reach the other.
+func TestSinceCopies(t *testing.T) {
+	var src Series
+	for i := range 4 {
+		src.Append(Sample{Time: float64(i), Label: fmt.Sprint(i)})
+	}
+	tail := src.Since(1)
+	if tail.Len() != 3 || tail.Samples()[0].Label != "1" || tail.Samples()[2].Label != "3" {
+		t.Fatalf("Since(1) = %v, want samples 1..3", tail.Samples())
+	}
+	src.Append(Sample{Label: "4"})
+	tail.Samples()[0].Label = "x"
+	if tail.Len() != 3 {
+		t.Errorf("an append to the source grew the copy to %d samples", tail.Len())
+	}
+	if src.Samples()[1].Label != "1" {
+		t.Errorf("a write to the copy reached the source: %q", src.Samples()[1].Label)
+	}
+	if all := src.Since(0); all.Len() != 5 {
+		t.Errorf("Since(0) has %d samples, want 5", all.Len())
 	}
 }
 

@@ -51,6 +51,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -61,7 +63,6 @@ import (
 
 	"twolm/internal/engine"
 	"twolm/internal/jobspec"
-	"twolm/internal/runcfg"
 	"twolm/internal/sweep"
 	"twolm/internal/telemetry"
 )
@@ -73,25 +74,48 @@ const allExperiments = "all"
 // file sets the geometry, footprint and selection they would set.
 var jobBypassed = []string{"scale", "quick", "metrics-addr", "experiment"}
 
-// options is the parsed command line: the shared runcfg block plus the
-// repro-only flags.
+// options is the parsed command line.
 type options struct {
-	rc         runcfg.Common
+	// out is the artifact output directory.
+	out string
+	// scale is the footprint scale divisor (nonzero power of two).
+	scale uint64
+	// quick selects small footprints for a fast sanity pass.
+	quick bool
+	// parallel is the experiment worker count (1 = serial).
+	parallel int
+	// metricsAddr, when nonempty, is the listen address of the
+	// Prometheus /metrics endpoint.
+	metricsAddr string
+	// job, when nonempty, is the path of a jobspec JSON file run
+	// instead of the suite.
+	job        string
 	experiment string
 	cpuprofile string
 	memprofile string
 	// bypassed lists the jobBypassed flags given explicitly, as -name.
 	bypassed []string
+	// boundAddr is filled in by metrics with the address the listener
+	// actually bound; it differs from metricsAddr when the requested
+	// port was 0.
+	boundAddr string
 }
 
 // parseFlags parses args into options without touching global flag
-// state, so tests drive the same surface main does.
+// state, so tests drive the same surface main does. The defaults are
+// the calibrated study: results/ output, the 1/1024 footprint scale and
+// one worker per CPU.
 func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
-	o := &options{rc: runcfg.Defaults()}
-	o.rc.Register(fs)
-	o.rc.RegisterSuite(fs)
-	o.rc.RegisterJob(fs)
+	o := &options{}
+	fs.StringVar(&o.out, "out", "results", "output directory for artifacts")
+	fs.Uint64Var(&o.scale, "scale", 1024, "footprint scale divisor (power of two)")
+	fs.BoolVar(&o.quick, "quick", false, "small footprints for a fast pass")
+	fs.StringVar(&o.metricsAddr, "metrics-addr", "",
+		"serve Prometheus metrics at this address (e.g. 127.0.0.1:9464)")
+	fs.IntVar(&o.parallel, "parallel", runtime.NumCPU(), "experiment worker count (1 = serial)")
+	fs.StringVar(&o.job, "job", "",
+		"path to a jobspec JSON file, a single point or a grid (see examples/sweep_*.json); runs it instead of the suite and writes job_results.{csv,json}")
 	fs.StringVar(&o.experiment, "experiment", allExperiments,
 		"comma-separated suite job names to run (see EXPERIMENTS.md); all runs the whole suite")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
@@ -105,6 +129,60 @@ func parseFlags(args []string) (*options, error) {
 		}
 	})
 	return o, nil
+}
+
+// validate rejects malformed values up front, before any experiment
+// spends time.
+func (o *options) validate() error {
+	if o.scale == 0 || o.scale&(o.scale-1) != 0 {
+		return fmt.Errorf("-scale %d must be a nonzero power of two", o.scale)
+	}
+	if o.parallel < 1 {
+		return fmt.Errorf("-parallel %d must be positive", o.parallel)
+	}
+	return nil
+}
+
+// loadJob strictly decodes and validates the -job file. It returns
+// (nil, nil) when the flag was not given, so callers branch with one
+// check.
+func (o *options) loadJob() (*jobspec.Spec, error) {
+	if o.job == "" {
+		return nil, nil
+	}
+	return jobspec.Load(o.job)
+}
+
+// metrics starts the Prometheus endpoint when -metrics-addr was given:
+// it binds the address synchronously (so startup errors surface here,
+// not in a goroutine), serves the exporter at /metrics in the
+// background for the life of the process, and returns the exporter for
+// the caller to wire into telemetry sinks and gauges.
+//
+// It deliberately returns the concrete *telemetry.Prom rather than a
+// telemetry.Sink: with no -metrics-addr the result is a nil pointer,
+// and callers must check that nil before wrapping it in telemetry.Tee
+// or telemetry.WithLabel. Storing a typed nil pointer in a Sink
+// interface would make sink != nil true on the hot path and defeat the
+// disabled-telemetry fast path.
+func (o *options) metrics() (*telemetry.Prom, error) {
+	if o.metricsAddr == "" {
+		return nil, nil
+	}
+	ln, err := net.Listen("tcp", o.metricsAddr)
+	if err != nil {
+		return nil, fmt.Errorf("-metrics-addr %s: %w", o.metricsAddr, err)
+	}
+	o.boundAddr = ln.Addr().String()
+	prom := telemetry.NewProm()
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", prom)
+	go func() {
+		// Serve returns only when the listener closes, which never
+		// happens: the endpoint lives as long as the process.
+		_ = http.Serve(ln, mux)
+	}()
+	return prom, nil
 }
 
 func main() {
@@ -189,45 +267,44 @@ func writeArtifact(dir string, a engine.Artifact) error {
 // jobspec through the same shared path cmd/simd uses, writing the
 // byte-identical job_results artifacts.
 func (o *options) run() error {
-	rc, experiment := o.rc, o.experiment
 	// Reject bad input up front: the pool reports job errors only after
 	// the whole suite drains, which is the wrong place to learn about a
 	// typo in a flag.
-	if rc.Job != "" && len(o.bypassed) > 0 {
+	if o.job != "" && len(o.bypassed) > 0 {
 		return fmt.Errorf("%s cannot be combined with -job: the jobspec file defines the run",
 			strings.Join(o.bypassed, ", "))
 	}
-	if err := rc.Validate(); err != nil {
+	if err := o.validate(); err != nil {
 		return err
 	}
-	if js, err := rc.LoadJob(); err != nil {
+	if js, err := o.loadJob(); err != nil {
 		return err
 	} else if js != nil {
-		return runJob(rc, js)
+		return o.runJob(js)
 	}
-	cfg := engine.DefaultSuiteConfig(rc.Scale, rc.Quick)
-	prom, err := rc.Metrics()
+	cfg := engine.DefaultSuiteConfig(o.scale, o.quick)
+	prom, err := o.metrics()
 	if err != nil {
 		return err
 	}
 	if prom != nil {
-		fmt.Printf("serving metrics at http://%s/metrics\n", rc.BoundAddr)
+		fmt.Printf("serving metrics at http://%s/metrics\n", o.boundAddr)
 		// The multichannel self-check publishes each scenario's samples
 		// under its scenario name; Prom locks internally, so it is safe
 		// to share across parallel jobs.
 		cfg.Multi.Telemetry = prom
 	}
-	jobs, err := selectJobs(engine.Suite(cfg), experiment)
+	jobs, err := selectJobs(engine.Suite(cfg), o.experiment)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(rc.Out, 0o755); err != nil {
+	if err := os.MkdirAll(o.out, 0o755); err != nil {
 		return err
 	}
 	start := time.Now()
 
-	if rc.Parallel > 1 {
-		fmt.Printf("running %d experiments on %d workers\n", len(jobs), rc.Parallel)
+	if o.parallel > 1 {
+		fmt.Printf("running %d experiments on %d workers\n", len(jobs), o.parallel)
 	}
 	var observe func(engine.Outcome)
 	if prom != nil {
@@ -236,26 +313,26 @@ func (o *options) run() error {
 			prom.AddGauge("jobs_completed", "Experiment jobs completed so far.", 1)
 		}
 	}
-	outs := engine.RunJobsObserved(context.Background(), jobs, rc.Parallel, observe)
+	outs := engine.RunJobsObserved(context.Background(), jobs, o.parallel, observe)
 
-	for _, o := range outs {
-		if o.Err != nil {
-			return fmt.Errorf("%s: %w", o.Job, o.Err)
+	for _, res := range outs {
+		if res.Err != nil {
+			return fmt.Errorf("%s: %w", res.Job, res.Err)
 		}
-		for _, a := range o.Artifacts {
-			if err := writeArtifact(rc.Out, a); err != nil {
-				return fmt.Errorf("%s: %w", o.Job, err)
+		for _, a := range res.Artifacts {
+			if err := writeArtifact(o.out, a); err != nil {
+				return fmt.Errorf("%s: %w", res.Job, err)
 			}
 		}
 	}
 
-	if experiment == allExperiments {
-		if err := writeThroughput(rc.Out, prom); err != nil {
+	if o.experiment == allExperiments {
+		if err := writeThroughput(o.out, prom); err != nil {
 			return fmt.Errorf("throughput baseline: %w", err)
 		}
 	}
 
-	fmt.Printf("all artifacts written to %s in %s\n", rc.Out, time.Since(start).Round(time.Millisecond))
+	fmt.Printf("all artifacts written to %s in %s\n", o.out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 
@@ -290,7 +367,7 @@ func selectJobs(suite []engine.Job, experiment string) ([]engine.Job, error) {
 // sweep.RunJob path — the same execution cmd/simd uses, so the
 // artifacts under -out are byte-identical to a simd POST of the same
 // file. A timeout_ms in the spec is honored here too.
-func runJob(rc runcfg.Common, js *jobspec.Spec) error {
+func (o *options) runJob(js *jobspec.Spec) error {
 	ctx := context.Background()
 	if d := js.Timeout(); d > 0 {
 		var cancel context.CancelFunc
@@ -298,15 +375,15 @@ func runJob(rc runcfg.Common, js *jobspec.Spec) error {
 		defer cancel()
 	}
 	start := time.Now()
-	res, err := sweep.RunJob(ctx, *js, rc.Parallel, nil)
+	res, err := sweep.RunJob(ctx, *js, o.parallel, nil)
 	if err != nil {
 		return err
 	}
-	if err := res.Write(rc.Out); err != nil {
+	if err := res.Write(o.out); err != nil {
 		return err
 	}
 	fmt.Printf("job %q: %d points, %d demand lines, artifacts in %s (%s)\n",
-		res.Spec.Name, len(res.Rows), res.Lines, rc.Out, time.Since(start).Round(time.Millisecond))
+		res.Spec.Name, len(res.Rows), res.Lines, o.out, time.Since(start).Round(time.Millisecond))
 	return nil
 }
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"slices"
@@ -8,10 +10,9 @@ import (
 	"testing"
 )
 
-// TestFlagSurface pins repro's command line: every shared runcfg flag
-// parses into the Common block, -job, -experiment and the profile
-// flags parse beside them, and the flags -job bypasses are recorded
-// when given explicitly.
+// TestFlagSurface pins repro's command line: every flag parses into
+// options, and the flags -job bypasses are recorded when given
+// explicitly.
 func TestFlagSurface(t *testing.T) {
 	o, err := parseFlags([]string{
 		"-out", "artifacts",
@@ -27,13 +28,10 @@ func TestFlagSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc := o.rc
-	if rc.Out != "artifacts" || rc.Scale != 2048 || !rc.Quick || rc.Parallel != 3 ||
-		rc.MetricsAddr != "127.0.0.1:0" || rc.Job != "spec.json" {
-		t.Errorf("shared flags misparsed: %+v", rc)
-	}
-	if o.experiment != "fig2a_nvram_read_bw,claims_check" || o.cpuprofile != "cpu.out" || o.memprofile != "mem.out" {
-		t.Errorf("repro flags misparsed: %+v", o)
+	if o.out != "artifacts" || o.scale != 2048 || !o.quick || o.parallel != 3 ||
+		o.metricsAddr != "127.0.0.1:0" || o.job != "spec.json" ||
+		o.experiment != "fig2a_nvram_read_bw,claims_check" || o.cpuprofile != "cpu.out" || o.memprofile != "mem.out" {
+		t.Errorf("flags misparsed: %+v", o)
 	}
 	if want := []string{"-experiment", "-metrics-addr", "-quick", "-scale"}; !slices.Equal(o.bypassed, want) {
 		t.Errorf("bypassed = %q, want %q", o.bypassed, want)
@@ -147,5 +145,141 @@ func TestJobRun(t *testing.T) {
 	}
 	if want := []string{"job_results.csv", "job_results.json"}; !slices.Equal(got, want) {
 		t.Errorf("artifacts = %q, want %q", got, want)
+	}
+}
+
+// TestRegisterParsesSharedFlags: the simulation flags parse into
+// options.
+func TestRegisterParsesSharedFlags(t *testing.T) {
+	o, err := parseFlags([]string{
+		"-out", "artifacts",
+		"-scale", "2048",
+		"-quick",
+		"-parallel", "3",
+		"-metrics-addr", "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.out != "artifacts" || o.scale != 2048 || !o.quick ||
+		o.parallel != 3 || o.metricsAddr != "127.0.0.1:0" {
+		t.Errorf("parsed options %+v do not match the flag values", o)
+	}
+}
+
+func TestDefaultsValidate(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.out != "results" || o.scale != 1024 || o.parallel < 1 {
+		t.Errorf("defaults %+v are not results/, 1/1024 and one worker per CPU", o)
+	}
+	if err := o.validate(); err != nil {
+		t.Errorf("defaults must validate, got %v", err)
+	}
+}
+
+func TestValidateRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"zero scale", []string{"-scale", "0"}},
+		{"non-power-of-two scale", []string{"-scale", "1000"}},
+		{"zero parallel", []string{"-parallel", "0"}},
+	} {
+		o, err := parseFlags(tc.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.validate(); err == nil {
+			t.Errorf("%s: validate accepted %+v", tc.name, o)
+		}
+	}
+}
+
+func TestMetricsDisabledReturnsNil(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := o.metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prom != nil {
+		t.Error("metrics without -metrics-addr must return a nil exporter")
+	}
+}
+
+func TestMetricsServesExposition(t *testing.T) {
+	o, err := parseFlags([]string{"-metrics-addr", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, err := o.metrics()
+	if err != nil {
+		t.Skipf("cannot bind loopback listener in this environment: %v", err)
+	}
+	if prom == nil {
+		t.Fatal("metrics with an address returned a nil exporter")
+	}
+	if o.boundAddr == "" || o.boundAddr == o.metricsAddr {
+		t.Errorf("boundAddr %q should carry the resolved port", o.boundAddr)
+	}
+	prom.SetGauge("jobs_total", "Experiment jobs in this run.", 3)
+
+	resp, err := http.Get("http://" + o.boundAddr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /metrics: status %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
+		t.Errorf("Content-Type %q is not the text exposition format", ct)
+	}
+	if !strings.Contains(string(body), "twolm_jobs_total 3") {
+		t.Errorf("exposition missing the published gauge:\n%s", body)
+	}
+}
+
+// TestLoadJob: unset flag loads nothing; a valid file loads; an
+// invalid file fails.
+func TestLoadJob(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err := o.loadJob(); s != nil || err != nil {
+		t.Fatalf("unset -job: %v, %v", s, err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := os.WriteFile(good, []byte(`{"version":1,"geometry":{"cache_kib":64}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if o, err = parseFlags([]string{"-job", good}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := o.loadJob()
+	if err != nil || s == nil || s.Geometry.CacheKiB != 64 {
+		t.Fatalf("good file: %+v, %v", s, err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"version":1,"geometri":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if o, err = parseFlags([]string{"-job", bad}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.loadJob(); err == nil {
+		t.Fatal("unknown-field file accepted")
 	}
 }

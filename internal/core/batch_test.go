@@ -43,18 +43,18 @@ func drivePerLineMix(t *testing.T, sys *System, region mem.Region, seed uint32) 
 		addr := region.Base + idx*mem.Line
 		switch idx & 7 {
 		case 0, 4:
-			sys.Load(addr)
+			sys.load(addr)
 		case 1, 5:
-			sys.Store(addr)
+			sys.store(addr)
 		case 2:
-			sys.RMW(addr)
+			sys.rmw(addr)
 		case 3:
-			sys.StoreNT(addr)
+			sys.storeNT(addr)
 		default:
 			if (idx>>3)&1 == 0 {
-				sys.Load(addr)
+				sys.load(addr)
 			} else {
-				sys.Store(addr)
+				sys.store(addr)
 			}
 		}
 	})
@@ -156,10 +156,10 @@ func TestBatchAutoFlush(t *testing.T) {
 	for i := uint64(0); i < ops; i++ {
 		addr := region.Base + (i*2654435761)%lines*mem.Line
 		if i&1 == 0 {
-			slow.Load(addr)
+			slow.load(addr)
 			b.Load(addr)
 		} else {
-			slow.Store(addr)
+			slow.store(addr)
 			b.Store(addr)
 		}
 	}
@@ -196,10 +196,10 @@ func TestBatchSampleCadence(t *testing.T) {
 	for i := uint64(0); i < ops; i++ {
 		addr := region.Base + (i*2654435761)%lines*mem.Line
 		if i&1 == 0 {
-			ref.Load(addr)
+			ref.load(addr)
 			b.Load(addr)
 		} else {
-			ref.Store(addr)
+			ref.store(addr)
 			b.Store(addr)
 		}
 		if (i+1)%batchSampleOps == 0 {

@@ -10,14 +10,17 @@
 //     addressed directly, the substrate for software-managed data
 //     movement (AutoTM, Sage).
 //
-// Workloads drive the System with Load / Store / StoreNT operations (or
-// their Range forms, which are much faster for streaming access). The
-// System filters them through a small last-level-cache model (so that
-// standard stores produce RFOs and *delayed* writebacks, as on real
-// hardware — the origin of the Dirty Data Optimization), forwards the
-// resulting LLC reads and writes to the memory behind the LLC, and
-// converts the exact transaction counts into elapsed time with the
-// analytic bandwidth model at every Sync point.
+// Workloads drive the System with the Range forms (LoadRange,
+// StoreRange, RMWRange, StoreNTRange) for consecutive lines and with the
+// Batch builder for arbitrary ones; the unexported per-line operations
+// (load, store, rmw, storeNT) are the reference both are checked
+// against and the path a tap forces. The System filters demand through
+// a small last-level-cache model (so that standard stores produce RFOs
+// and *delayed* writebacks, as on real hardware — the origin of the
+// Dirty Data Optimization), forwards the resulting LLC reads and writes
+// to the memory behind the LLC, and converts the exact transaction
+// counts into elapsed time with the analytic bandwidth model at every
+// Sync point.
 //
 // Both modes share that front end. They differ only in the memory
 // interface behind it (flat.go): the 2LM imc.Controller, or the 1LM
@@ -131,7 +134,8 @@ type System struct {
 	lastDMA  uint64
 	lastDNV  uint64
 
-	// tap observes the demand stream (trace recording).
+	// tap observes the demand stream and forces the per-line path
+	// (SetTap).
 	tap func(op TapOp, addr uint64)
 
 	// batch is the reusable bulk-dispatch builder (scatter.go).
@@ -287,8 +291,10 @@ const (
 
 // SetTap installs an observer invoked on every demand operation before
 // it is simulated (nil removes it). Taps see the operation stream the
-// workload generates — internal/trace uses this to record replayable
-// traces.
+// workload generates: with a tap installed, every Range form and Batch
+// operation takes the per-line path, so the tap observes each line. The
+// reference build and the cross-package differential tests use this to
+// run a workload on the per-line reference.
 func (s *System) SetTap(tap func(op TapOp, addr uint64)) { s.tap = tap }
 
 // perLineReference is set by the `reference` build tag (reference.go).
@@ -361,8 +367,8 @@ func (s *System) llcDropAt(set uint64, tag uint32) {
 	}
 }
 
-// Load simulates a demand load of the line containing addr.
-func (s *System) Load(addr uint64) {
+// load simulates a demand load of the line containing addr.
+func (s *System) load(addr uint64) {
 	if s.tap != nil {
 		s.tap(TapLoad, addr)
 	}
@@ -370,10 +376,10 @@ func (s *System) Load(addr uint64) {
 	s.llcTouch(addr, false)
 }
 
-// Store simulates a standard store to the line containing addr: an RFO
+// store simulates a standard store to the line containing addr: an RFO
 // read (unless the line is already on chip) and a delayed writeback when
 // the line is eventually evicted.
-func (s *System) Store(addr uint64) {
+func (s *System) store(addr uint64) {
 	if s.tap != nil {
 		s.tap(TapStore, addr)
 	}
@@ -381,10 +387,10 @@ func (s *System) Store(addr uint64) {
 	s.llcTouch(addr, true)
 }
 
-// RMW simulates a load followed by a store to the same line (one RFO,
+// rmw simulates a load followed by a store to the same line (one RFO,
 // one delayed writeback). Demand bytes count both halves, matching the
 // paper's effective-bandwidth accounting for read-modify-write kernels.
-func (s *System) RMW(addr uint64) {
+func (s *System) rmw(addr uint64) {
 	if s.tap != nil {
 		s.tap(TapRMW, addr)
 	}
@@ -392,9 +398,9 @@ func (s *System) RMW(addr uint64) {
 	s.llcTouch(addr, true)
 }
 
-// StoreNT simulates a nontemporal store: it bypasses the on-chip cache
+// storeNT simulates a nontemporal store: it bypasses the on-chip cache
 // (invalidating any copy) and reaches the IMC directly as an LLC write.
-func (s *System) StoreNT(addr uint64) {
+func (s *System) storeNT(addr uint64) {
 	if s.tap != nil {
 		s.tap(TapStoreNT, addr)
 	}
@@ -469,7 +475,7 @@ func (s *System) seqRange(r mem.Region, dirty bool) {
 func (s *System) LoadRange(r mem.Region) {
 	if s.tap != nil {
 		for a := r.Base; a < r.End(); a += mem.Line {
-			s.Load(a)
+			s.load(a)
 		}
 	} else {
 		s.seqRange(r, false)
@@ -484,7 +490,7 @@ func (s *System) LoadRange(r mem.Region) {
 func (s *System) StoreRange(r mem.Region) {
 	if s.tap != nil {
 		for a := r.Base; a < r.End(); a += mem.Line {
-			s.Store(a)
+			s.store(a)
 		}
 	} else {
 		s.seqRange(r, true)
@@ -499,7 +505,7 @@ func (s *System) StoreRange(r mem.Region) {
 func (s *System) RMWRange(r mem.Region) {
 	if s.tap != nil {
 		for a := r.Base; a < r.End(); a += mem.Line {
-			s.RMW(a)
+			s.rmw(a)
 		}
 	} else {
 		s.seqRange(r, true)
@@ -518,7 +524,7 @@ func (s *System) RMWRange(r mem.Region) {
 func (s *System) StoreNTRange(r mem.Region) {
 	if s.tap != nil {
 		for a := r.Base; a < r.End(); a += mem.Line {
-			s.StoreNT(a)
+			s.storeNT(a)
 		}
 		if s.tel.On() {
 			s.maybeSample()

@@ -67,11 +67,11 @@ func TestLoadMissesThroughLLC(t *testing.T) {
 // chip generates no new memory traffic.
 func TestLLCCoalescesRepeatedTouches(t *testing.T) {
 	s := newSystem(t, Mode2LM)
-	s.Load(0)
+	s.load(0)
 	before := s.Counters()
-	s.Load(0)
-	s.Store(0)
-	s.RMW(0)
+	s.load(0)
+	s.store(0)
+	s.rmw(0)
 	if got := s.Counters(); got != before {
 		t.Errorf("on-chip hits generated traffic: %v -> %v", before, got)
 	}
@@ -136,8 +136,8 @@ func TestNTStoreBypassesLLC(t *testing.T) {
 // must not produce a later stale writeback.
 func TestNTStoreInvalidatesLLCCopy(t *testing.T) {
 	s := newSystem(t, Mode2LM)
-	s.Store(0)   // dirty in LLC
-	s.StoreNT(0) // invalidates
+	s.store(0)   // dirty in LLC
+	s.storeNT(0) // invalidates
 	before := s.Counters().LLCWrite
 	s.DrainLLC()
 	if got := s.Counters().LLCWrite - before; got != 0 {
@@ -223,7 +223,7 @@ func TestSyncAdvancesClock(t *testing.T) {
 // TestSyncComputeBound: a long compute interval dominates memory time.
 func TestSyncComputeBound(t *testing.T) {
 	s := newSystem(t, Mode2LM)
-	s.Load(0)
+	s.load(0)
 	sample := s.Sync("k", 10.0)
 	if sample.Dur != 10.0 {
 		t.Errorf("compute-bound interval dur = %g, want 10", sample.Dur)

@@ -103,13 +103,13 @@ func driveRandom(t *testing.T, sys *System, region mem.Region) {
 		addr := region.Base + idx*mem.Line
 		switch idx & 3 {
 		case 0:
-			sys.Load(addr)
+			sys.load(addr)
 		case 1:
-			sys.Store(addr)
+			sys.store(addr)
 		case 2:
-			sys.RMW(addr)
+			sys.rmw(addr)
 		default:
-			sys.StoreNT(addr)
+			sys.storeNT(addr)
 		}
 	})
 	if err != nil {

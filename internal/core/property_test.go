@@ -23,13 +23,13 @@ func TestPropertyCounterIdentities(t *testing.T) {
 				addr := (uint64(raw>>2) % (space / mem.Line)) * mem.Line
 				switch raw & 3 {
 				case 0:
-					s.Load(addr)
+					s.load(addr)
 				case 1:
-					s.Store(addr)
+					s.store(addr)
 				case 2:
-					s.StoreNT(addr)
+					s.storeNT(addr)
 				default:
-					s.RMW(addr)
+					s.rmw(addr)
 				}
 			}
 			s.DrainLLC()
@@ -52,7 +52,7 @@ func TestPropertyClockMonotonic(t *testing.T) {
 		last := 0.0
 		for i, raw := range ops {
 			addr := (uint64(raw) % (s.Platform().DRAMSize() / mem.Line)) * mem.Line
-			s.Load(addr)
+			s.load(addr)
 			if i%3 == 0 {
 				compute := 0.0
 				if i/3 < len(computes) {
@@ -85,16 +85,16 @@ func TestPropertyDemandAccounting(t *testing.T) {
 			addr := uint64(i%1024) * mem.Line
 			switch op % 4 {
 			case 0:
-				s.Load(addr)
+				s.load(addr)
 				want += mem.Line
 			case 1:
-				s.Store(addr)
+				s.store(addr)
 				want += mem.Line
 			case 2:
-				s.StoreNT(addr)
+				s.storeNT(addr)
 				want += mem.Line
 			default:
-				s.RMW(addr)
+				s.rmw(addr)
 				want += 2 * mem.Line
 			}
 		}

@@ -1,6 +1,7 @@
 // The Batch builder is the random-traffic fast path of the demand
 // pipeline: the Range forms batch *consecutive* lines, Batch batches
-// *arbitrary* ones. Workloads append Load/Store/RMW/StoreNT operations
+// *arbitrary* ones, and is the only exported way to issue demand on
+// them. Workloads append Load/Store/RMW/StoreNT operations
 // and the builder dispatches them in bulk — the on-chip LLC filter
 // runs in appended order (its outcomes are order-sensitive and cheap),
 // and the surviving requests go to the memory's LLCScatter entry point
@@ -97,13 +98,13 @@ func (b *Batch) addSlow(addr, op uint64) {
 		b.Flush()
 		switch op {
 		case batchOpLoad:
-			s.Load(addr)
+			s.load(addr)
 		case batchOpStore:
-			s.Store(addr)
+			s.store(addr)
 		case batchOpRMW:
-			s.RMW(addr)
+			s.rmw(addr)
 		default:
-			s.StoreNT(addr)
+			s.storeNT(addr)
 		}
 		return
 	}

@@ -22,13 +22,13 @@ func TestValidateAfterRandomWorkload(t *testing.T) {
 			addr := (rng.Uint64() % (space / mem.Line)) * mem.Line
 			switch rng.Intn(4) {
 			case 0:
-				s.Load(addr)
+				s.load(addr)
 			case 1:
-				s.Store(addr)
+				s.store(addr)
 			case 2:
-				s.StoreNT(addr)
+				s.storeNT(addr)
 			default:
-				s.RMW(addr)
+				s.rmw(addr)
 			}
 		}
 		s.DrainLLC()
@@ -54,7 +54,7 @@ func TestValidateAfterFlush(t *testing.T) {
 // reported.
 func TestValidateCatchesTampering(t *testing.T) {
 	s := newSystem(t, Mode2LM)
-	s.Load(0)
+	s.load(0)
 	// Device-level extra write that the controller never issued.
 	s.Controller().NVRAM.Write(0)
 	if err := s.ValidateCounters(); err == nil {

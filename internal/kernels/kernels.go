@@ -14,8 +14,11 @@
 //   - a modeled thread count, with data partitioned evenly across
 //     threads.
 //
-// The kernels drive a core.System and report both the counter deltas
-// and the effective bandwidth "as seen by the application".
+// The kernels drive a core.System — sequential passes through its Range
+// forms, random passes (and the sequential load-then-nontemporal-store
+// pass, which has no Range form) through its core.Batch builder — and
+// report both the counter deltas and the effective bandwidth "as seen
+// by the application".
 package kernels
 
 import (
@@ -225,34 +228,33 @@ func runPass(sys *core.System, region mem.Region, spec Spec, seed uint32) error 
 	return randomPass(sys, region, spec, seed)
 }
 
-// touch applies the spec's operation to the lines of one element.
-func touch(sys *core.System, base uint64, gran int, spec Spec) {
-	end := base + uint64(gran)
+// touch appends the spec's operation on the lines of [base, end) to b.
+func touch(b *core.Batch, base, end uint64, spec Spec) {
 	switch spec.Op {
 	case ReadOnly:
 		for a := base; a < end; a += mem.Line {
-			sys.Load(a)
+			b.Load(a)
 		}
 	case WriteOnly:
 		if spec.Store == Nontemporal {
 			for a := base; a < end; a += mem.Line {
-				sys.StoreNT(a)
+				b.StoreNT(a)
 			}
 		} else {
 			for a := base; a < end; a += mem.Line {
-				sys.Store(a)
+				b.Store(a)
 			}
 		}
 	case ReadModifyWrite:
 		if spec.Store == Nontemporal {
 			// Load then NT store: the store does not reuse the RFO.
 			for a := base; a < end; a += mem.Line {
-				sys.Load(a)
-				sys.StoreNT(a)
+				b.Load(a)
+				b.StoreNT(a)
 			}
 		} else {
 			for a := base; a < end; a += mem.Line {
-				sys.RMW(a)
+				b.RMW(a)
 			}
 		}
 	}
@@ -273,10 +275,10 @@ func sequentialPass(sys *core.System, region mem.Region, spec Spec) {
 		}
 	case ReadModifyWrite:
 		if spec.Store == Nontemporal {
-			for a := region.Base; a < region.End(); a += mem.Line {
-				sys.Load(a)
-				sys.StoreNT(a)
-			}
+			// No Range form pairs a load with an NT store per line.
+			b := sys.Batch()
+			touch(b, region.Base, region.End(), spec)
+			b.Flush()
 		} else {
 			sys.RMWRange(region)
 		}
@@ -292,9 +294,13 @@ func randomPass(sys *core.System, region mem.Region, spec Spec, seed uint32) err
 		elements = 1
 		gran = region.Size
 	}
-	return lfsr.Sequence(elements, seed, func(i uint64) {
-		touch(sys, region.Base+i*gran, int(gran), spec)
+	b := sys.Batch()
+	err := lfsr.Sequence(elements, seed, func(i uint64) {
+		base := region.Base + i*gran
+		touch(b, base, base+gran, spec)
 	})
+	b.Flush()
+	return err
 }
 
 // PrimeClean fills the DRAM cache with clean data by streaming loads

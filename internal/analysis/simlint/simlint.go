@@ -4,14 +4,14 @@
 // the in-process entry point shared by cmd/simlint and the
 // hot-package guarantee test.
 //
-// Scoping, from ISSUE/DESIGN:
+// Scoping (see DESIGN.md, "Static invariants"):
 //
 //   - hotdiv runs on the per-line hot packages (imc, cache, dram,
 //     nvram, core) plus the engine's channel-split routing;
-//   - detrange additionally covers every package that feeds counters,
-//     results artifacts, or replay logs (mem, trace, results, and the
-//     telemetry surface, whose serialized series are byte-identical
-//     artifacts by contract);
+//   - detrange additionally covers every package that feeds counters
+//     or results artifacts (mem, kernels, results, and the telemetry
+//     surface, whose serialized series are byte-identical artifacts by
+//     contract);
 //   - counterdrift runs where Counters and its aggregators live (imc,
 //     engine);
 //   - ctrmut and resetcheck are whole-module rules: ad-hoc counter

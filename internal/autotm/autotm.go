@@ -22,9 +22,8 @@
 //     live activations during the forward pass, and NVRAM reads while
 //     restoring them during the backward pass (the paper's Figure 10).
 //
-// Execute (the online planner) and ExecuteStatic (an offline
-// StaticPlan) share one executor loop and differ only in placement:
-// how operands are staged before each kernel and retired after it.
+// Execute is the one executor: before each kernel it stages the
+// kernel's operands in DRAM, and after it drops the tensors that died.
 // Each kernel itself runs through compiler.Plan.RunKernel, the step
 // the 2LM executor takes.
 package autotm
@@ -86,8 +85,7 @@ type residency struct {
 }
 
 // planner holds the executor state of one run: the plan, the system,
-// tensor residency and the move counters. It is also the online
-// placement (stage and retire below); the offline one wraps it.
+// tensor residency and the move counters.
 type planner struct {
 	plan *compiler.Plan
 	sys  *core.System
@@ -118,7 +116,7 @@ type planner struct {
 // already steady apart from the initial weight load, which is charged
 // to setup and excluded like the paper's warmup iterations).
 func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error) {
-	p, err := newPlanner(plan, sys, cfg, 0)
+	p, err := newPlanner(plan, sys, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -131,24 +129,18 @@ func Execute(plan *compiler.Plan, sys *core.System, cfg Config) (*Result, error)
 			}
 		}
 	}
-	return p.execute(p)
+	return p.execute()
 }
 
 // newPlanner checks the system and budget, allocates the NVRAM home
 // and the DRAM pool, and sets the system's threads, traffic shape and
-// mover bandwidth. peak is a static plan's resident peak, checked
-// against the budget before anything is allocated; an online plan,
-// which fits as it goes, passes 0.
-func newPlanner(plan *compiler.Plan, sys *core.System, cfg Config, peak uint64) (*planner, error) {
+// mover bandwidth.
+func newPlanner(plan *compiler.Plan, sys *core.System, cfg Config) (*planner, error) {
 	if sys.Mode() != core.Mode1LM {
 		return nil, fmt.Errorf("autotm: requires a 1LM (app-direct) system, got %v", sys.Mode())
 	}
 	if cfg.DRAMBudget == 0 {
 		cfg.DRAMBudget = sys.Platform().DRAMSize() * 9 / 10
-	}
-	if peak > cfg.DRAMBudget {
-		return nil, fmt.Errorf("autotm: static plan peaks at %s, above the %s budget",
-			mem.FormatBytes(peak), mem.FormatBytes(cfg.DRAMBudget))
 	}
 
 	nvramHome, err := sys.AddressSpace().AllocNVRAM(plan.HeapSize)
@@ -312,25 +304,16 @@ func (p *planner) moveInTensor(t, k int, fetch bool, keep map[int]bool) error {
 	return nil
 }
 
-// placement decides where tensors live around each kernel: stage
-// makes kernel ki's operands resident in DRAM before it runs, and
-// retire moves or drops them after. Each reports whether it copied
-// data. The online planner is one placement, staticPlacement the other.
-type placement interface {
-	stage(ki int) (moved bool, err error)
-	retire(ki int) (moved bool)
-}
-
 // execute measures one iteration: every kernel runs with its operands
-// staged in DRAM by pl, then the LLC drains.
-func (p *planner) execute(pl placement) (*Result, error) {
+// staged in DRAM, then the LLC drains.
+func (p *planner) execute() (*Result, error) {
 	p.sys.Sync("setup", 0)
 	p.sys.ResetStats()
 	start := p.sys.Clock()
 	at := p.dramRegion
 	for ki := range p.plan.Prog.Kernels {
 		k := &p.plan.Prog.Kernels[ki]
-		moved, err := pl.stage(ki)
+		moved, err := p.stage(ki)
 		if err != nil {
 			return nil, err
 		}
@@ -347,9 +330,7 @@ func (p *planner) execute(pl placement) (*Result, error) {
 		for _, t := range k.Writes {
 			p.state[t].resident, p.state[t].dirty = true, true
 		}
-		if pl.retire(ki) && p.cfg.Mover == nil {
-			p.sys.Sync("stash:"+k.Name, 0)
-		}
+		p.retire(ki)
 	}
 	p.sys.DrainLLC()
 	p.sys.Sync("drain", 0)
@@ -364,8 +345,9 @@ func (p *planner) execute(pl placement) (*Result, error) {
 	}, nil
 }
 
-// stage is the online placement's staging: every tensor the kernel
-// touches becomes resident together, evicting by farthest next use.
+// stage makes kernel ki's operands resident in DRAM before it runs:
+// every tensor the kernel touches becomes resident together, evicting
+// by farthest next use. It reports whether it copied data.
 func (p *planner) stage(ki int) (bool, error) {
 	k := &p.plan.Prog.Kernels[ki]
 	keep := make(map[int]bool, len(k.Reads)+len(k.Writes))
@@ -392,9 +374,9 @@ func (p *planner) stage(ki int) (bool, error) {
 	return p.moveIn+p.moveOut > movedBefore, nil
 }
 
-// retire is the online placement's retirement: dead tensors free their
-// space at once, with no write-back. Live tensors stay until evicted.
-func (p *planner) retire(ki int) bool {
+// retire runs after kernel ki: dead tensors free their space at once,
+// with no write-back. Live tensors stay until evicted.
+func (p *planner) retire(ki int) {
 	k := &p.plan.Prog.Kernels[ki]
 	for _, t := range k.Reads {
 		p.retireIfDead(t, ki)
@@ -402,7 +384,6 @@ func (p *planner) retire(ki int) bool {
 	for _, t := range k.Writes {
 		p.retireIfDead(t, ki)
 	}
-	return false
 }
 
 // retireIfDead drops tensor t if kernel k was its last use.

@@ -26,39 +26,25 @@ func resultDigest(r *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestExecutorResultsPinned pins the exact Result of the online and the
-// static executor, with CPU copies and with a DMA mover, under a budget
-// that forces movement. The digests were recorded before Execute and
-// ExecuteStatic shared one kernel loop; any change to the traffic, the
-// clock or the series of either executor changes them.
+// TestExecutorResultsPinned pins the exact Result of the executor, with
+// CPU copies and with a DMA mover, under a budget that forces movement.
+// Any change to the traffic, the clock or the series changes the
+// digests.
 func TestExecutorResultsPinned(t *testing.T) {
 	plan := buildPlan(t, 64)
 	budget := mem.AlignUp(plan.HeapSize/3, mem.Line)
-	sp, err := SolveGreedy(plan, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
 	engine := dma.FutureGen()
 	cases := []struct {
-		name   string
-		static bool
-		mover  *dma.Engine
-		want   string
+		name  string
+		mover *dma.Engine
+		want  string
 	}{
-		{"online/cpu", false, nil, "57f0d89fa0cdaf35"},
-		{"online/dma", false, &engine, "5e5f01e19b320e5a"},
-		{"static/cpu", true, nil, "3865b492761ac44d"},
-		{"static/dma", true, &engine, "2ed0eee0650f879b"},
+		{"online/cpu", nil, "57f0d89fa0cdaf35"},
+		{"online/dma", &engine, "5e5f01e19b320e5a"},
 	}
 	for _, c := range cases {
 		sys := newSystem(t, core.Mode1LM, mem.AlignUp(budget/5, mem.Line))
-		cfg := Config{DRAMBudget: budget, Mover: c.mover}
-		var res *Result
-		if c.static {
-			res, err = ExecuteStatic(plan, sys, sp, cfg)
-		} else {
-			res, err = Execute(plan, sys, cfg)
-		}
+		res, err := Execute(plan, sys, Config{DRAMBudget: budget, Mover: c.mover})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

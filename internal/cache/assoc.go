@@ -279,17 +279,6 @@ func (c *Assoc) ValidLines() uint64 {
 	return n
 }
 
-// ForEachDirty calls fn with the address of every valid dirty line.
-func (c *Assoc) ForEachDirty(fn func(addr uint64)) {
-	for h := range c.entries {
-		if c.IsDirty(uint64(h)) {
-			if addr, ok := c.VictimAddr(uint64(h)); ok {
-				fn(addr)
-			}
-		}
-	}
-}
-
 // Reset invalidates every entry, returning the tag store to its
 // as-constructed state without allocating.
 func (c *Assoc) Reset() { clear(c.entries) }

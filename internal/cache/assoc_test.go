@@ -237,7 +237,20 @@ func TestAssocInstallClearsStaleFlags(t *testing.T) {
 	}
 }
 
-func TestAssocForEachDirtyAndReset(t *testing.T) {
+// dirtyAddrs returns the address of every valid dirty line of c.
+func dirtyAddrs(c *Assoc) map[uint64]bool {
+	got := map[uint64]bool{}
+	for h := range c.entries {
+		if c.IsDirty(uint64(h)) {
+			if addr, ok := c.VictimAddr(uint64(h)); ok {
+				got[addr] = true
+			}
+		}
+	}
+	return got
+}
+
+func TestAssocDirtyLinesAndReset(t *testing.T) {
 	c := newAssoc(t, mem.KiB, 2)
 	want := map[uint64]bool{}
 	for i := uint64(0); i < 6; i++ {
@@ -249,10 +262,9 @@ func TestAssocForEachDirtyAndReset(t *testing.T) {
 			want[addr] = true
 		}
 	}
-	got := map[uint64]bool{}
-	c.ForEachDirty(func(addr uint64) { got[addr] = true })
+	got := dirtyAddrs(c)
 	if len(got) != len(want) {
-		t.Fatalf("ForEachDirty visited %d lines, want %d", len(got), len(want))
+		t.Fatalf("%d dirty lines, want %d", len(got), len(want))
 	}
 	for a := range want {
 		if !got[a] {
@@ -377,8 +389,7 @@ func TestAssocMatchesStampLRU(t *testing.T) {
 				ref.store(rh, 0, false)
 			}
 		}
-		got, want := map[uint64]bool{}, map[uint64]bool{}
-		c.ForEachDirty(func(addr uint64) { got[addr] = true })
+		got, want := dirtyAddrs(c), map[uint64]bool{}
 		for h := range ref.entries {
 			if ref.entries[h]&EntryDirty != 0 {
 				a, _ := ref.victimAddr(uint64(h))

@@ -177,6 +177,7 @@ func TestBatchSampleCadence(t *testing.T) {
 	cfg := fastpathConfigs()["2lm-hardware"]
 	ref, batched := newFastpathPair(t, cfg)
 	ref.SetTap(nil)
+	batched.SetTap(nil) // the reference build taps every System
 	region, err := ref.AddressSpace().Alloc(2 * ref.Platform().DRAMSize())
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,8 @@ func (s *System) ValidateCounters() error {
 }
 
 // Validate2LM checks the 2LM counter identities of Table I against a
-// counter snapshot and (optionally) the controller whose cache state
-// should absorb the difference between write-backs and dirty misses.
+// counter snapshot and (optionally) the controller whose policy decides
+// which of them hold exactly.
 func Validate2LM(ctr imc.Counters, ctrl *imc.Controller) error {
 	// Every demand request performs exactly one tag classification.
 	if ctr.TagAccesses() != ctr.Demand()-ctr.DDO {
@@ -77,8 +77,8 @@ func Validate2LM(ctr imc.Counters, ctrl *imc.Controller) error {
 	if policy.WriteAllocate && policy.ReadAllocate && ctr.NVRAMRead != misses {
 		return fmt.Errorf("imc: NVRAM reads %d != misses %d", ctr.NVRAMRead, misses)
 	}
-	// Write-backs: one NVRAM write per dirty miss (plus any explicit
-	// flush; the residual dirty lines must still sit in the cache).
+	// Write-backs: one NVRAM write per dirty miss (the residual dirty
+	// lines must still sit in the cache).
 	if policy.WriteAllocate {
 		if ctr.NVRAMWrite < ctr.TagMissDirty {
 			return fmt.Errorf("imc: NVRAM writes %d below dirty misses %d", ctr.NVRAMWrite, ctr.TagMissDirty)

@@ -38,18 +38,6 @@ func TestValidateAfterRandomWorkload(t *testing.T) {
 	}
 }
 
-// TestValidateAfterFlush: an explicit flush writes back residual dirty
-// lines without breaking the identities.
-func TestValidateAfterFlush(t *testing.T) {
-	s := newSystem(t, Mode2LM)
-	arr, _ := s.AddressSpace().Alloc(s.Platform().DRAMSize() / 2)
-	s.StoreNTRange(arr)
-	s.Controller().FlushAll()
-	if err := s.ValidateCounters(); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestValidateCatchesTampering: a manufactured inconsistency is
 // reported.
 func TestValidateCatchesTampering(t *testing.T) {

@@ -1,10 +1,11 @@
 // Simulator-throughput measurement: how many demand lines per second
 // the simulator itself sustains. Counting is the whole cost model of
-// this reproduction — every table and figure is a line-by-line walk
-// through core.System — so simulated-lines-per-second is the hardware
-// speed axis of the ROADMAP's north star and the budget that bounds how
-// large a footprint scale the experiments can afford. The measurement
-// here backs the BenchmarkSimThroughput* benchmarks and the
+// this reproduction — every table and figure counts demand lines
+// through core.System, per line, in folded ranges or in batches — so
+// simulated-lines-per-second is the hardware speed axis of the
+// ROADMAP's north star and the budget that bounds how large a
+// footprint scale the experiments can afford. The measurement here
+// backs the BenchmarkSimThroughput* benchmarks and the
 // BENCH_throughput.json artifact cmd/repro emits, which together form
 // the tracked perf trajectory baseline future PRs are measured against.
 package engine
@@ -120,9 +121,9 @@ func SeqPass(sys *core.System, region mem.Region) uint64 {
 // line exactly once with alternating loads and stores in pseudo-random
 // order (the paper's KernelBenchmarks.jl iteration style). The pass
 // goes through the system's batch builder, so the controller services
-// it via chunked in-order dispatch; counters are byte-identical to
-// calling Load/Store per line. Returns the number of demand lines
-// simulated.
+// it via chunked in-order dispatch; counters are byte-identical to the
+// per-line reference (the `reference` build). Returns the number of
+// demand lines simulated.
 //
 //hot:entry timed measurement loop; its cost IS the measured figure
 //alloc:free the timed region must not allocate or the GC skews lines/sec

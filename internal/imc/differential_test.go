@@ -146,7 +146,17 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			if got, want := ctrl.Counters(), ref.counter; got != want {
 				t.Fatalf("%s, capacity %d: final divergence\n ctrl: %v\n ref:  %v", name, capacity, got, want)
 			}
+			assertDemandClock(t, name, ctrl)
 		}
+	}
+}
+
+// assertDemandClock pins the sampling hooks' demand clock, the plain
+// sum of the outcome histogram, to the demand the counters derive.
+func assertDemandClock(t *testing.T, what string, c *Controller) {
+	t.Helper()
+	if got, want := c.demand(), c.Counters().Demand(); got != want {
+		t.Errorf("%s: demand clock %d, counters' demand %d", what, got, want)
 	}
 }
 

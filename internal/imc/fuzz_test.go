@@ -79,7 +79,8 @@ func (r *fuzzRand) next() uint64 {
 // writeback lag or the scatter stream. The batched controller runs the
 // program through those entry points while a twin replays it line by
 // line through LLCRead/LLCWrite; counters, per-channel CAS, every
-// DIMM's interface and media counters and every tag word must match.
+// DIMM's interface and media counters and every tag word must match,
+// and each side's demand clock must equal its counters' demand.
 func FuzzDispatchMatchesPerLine(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
@@ -144,6 +145,8 @@ func FuzzDispatchMatchesPerLine(f *testing.F) {
 			}
 		}
 		assertSameTraffic(t, "fuzz", perLine, batched)
+		assertDemandClock(t, "fuzz per-line", perLine)
+		assertDemandClock(t, "fuzz batched", batched)
 		for i := 0; i < g.dimms; i++ {
 			if a, b := *perLine.NVRAM.DIMMAt(i), *batched.NVRAM.DIMMAt(i); a.Reads != b.Reads ||
 				a.Writes != b.Writes || a.MediaReads != b.MediaReads || a.MediaWrites != b.MediaWrites {

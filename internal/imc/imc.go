@@ -337,15 +337,15 @@ func (c Counters) Sample(d *dram.Module) telemetry.Sample {
 }
 
 // demand is Counters().Demand() read straight off the outcome
-// histogram: every outcome but the FlushAll writeback is one demand
-// line (TestTable1Rows pins the rows). The sampling hooks run it on
-// every range call, so they skip deriving the other counters.
+// histogram: every outcome is one demand line (TestTable1Rows pins the
+// rows). The sampling hooks run it on every range call, so they skip
+// deriving the other counters.
 func (c *Controller) demand() uint64 {
 	var d uint64
 	for _, n := range c.hist {
 		d += n
 	}
-	return d - c.hist[flushWrite]
+	return d
 }
 
 // maybeSample records a sample if the demand clock crossed the next
@@ -446,7 +446,7 @@ func (c *Controller) Reset() {
 // for a store. The data (and its ECC tag) is read from DRAM; on a tag
 // miss the line is filled from NVRAM (see line).
 //
-//hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
+//hot:entry sweep workers and concurrent experiment runs drive controllers per line
 //alloc:free per-line demand path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
 	set, tag, ch := c.locate(&c.readLoc, addr)
@@ -457,7 +457,7 @@ func (c *Controller) LLCRead(addr uint64) cache.LookupResult {
 // dirty line or a nontemporal store. Returns the tag-check result, or
 // Hit with ddo=true when the Dirty Data Optimization elided the check.
 //
-//hot:entry sweep workers and replay goroutines drive pooled controllers concurrently
+//hot:entry sweep workers and concurrent experiment runs drive controllers per line
 //alloc:free per-line writeback path, 0 allocs/op by benchmark contract
 func (c *Controller) LLCWrite(addr uint64) (res cache.LookupResult, ddo bool) {
 	set, tag, ch := c.locate(&c.writeLoc, addr)
@@ -510,15 +510,4 @@ func (c *Controller) LLCWriteRange(addr uint64, n uint64) {
 	if c.tel.On() {
 		c.maybeSample()
 	}
-}
-
-// FlushAll writes every dirty line back to NVRAM and invalidates the
-// cache, modeling an ADR-style flush or mode transition. Counter events
-// are recorded for the writebacks. O(lines).
-func (c *Controller) FlushAll() {
-	c.Cache.ForEachDirty(func(addr uint64) {
-		c.hist[flushWrite]++
-		c.NVRAM.Write(addr)
-	})
-	c.Cache.Reset()
 }

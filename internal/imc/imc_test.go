@@ -381,27 +381,6 @@ func TestRandomStreamInvariants(t *testing.T) {
 	}
 }
 
-// TestFlushAllWritesBackDirty: flushing writes exactly the dirty lines.
-func TestFlushAllWritesBackDirty(t *testing.T) {
-	c := newController(t, mem.KiB)
-	for i := uint64(0); i < 8; i++ {
-		c.LLCWrite(i * mem.Line) // dirty
-	}
-	for i := uint64(8); i < 12; i++ {
-		c.LLCRead(i * mem.Line) // clean
-	}
-	dirty := c.Cache.DirtyLines()
-	before := c.Counters().NVRAMWrite
-	c.FlushAll()
-	wrote := c.Counters().NVRAMWrite - before
-	if wrote != dirty {
-		t.Errorf("flush wrote %d lines, want %d", wrote, dirty)
-	}
-	if c.Cache.ValidLines() != 0 {
-		t.Error("flush left valid lines")
-	}
-}
-
 // TestCountersAddSub: Add and Sub are inverses.
 func TestCountersAddSub(t *testing.T) {
 	a := Counters{DRAMRead: 5, NVRAMWrite: 3, TagHit: 2, LLCRead: 7, DDO: 1}

@@ -17,9 +17,10 @@ import (
 	"twolm/internal/mem"
 )
 
-// outcome is one column of Table I, plus the ablation-only columns and
-// the FlushAll writeback. The three write columns from writeHit on
-// mirror the three read columns in order; decide relies on it.
+// outcome is one column of Table I, plus the ablation-only columns.
+// Every outcome is one demand line. The three write columns from
+// writeHit on mirror the three read columns in order; decide relies on
+// it.
 type outcome uint8
 
 const (
@@ -32,7 +33,6 @@ const (
 	writeDDO                      // LLC write forwarded by the Dirty Data Optimization
 	readBypass                    // no-read-allocate miss: forwarded from NVRAM uncached
 	writeAround                   // no-write-allocate miss: written straight to NVRAM
-	flushWrite                    // FlushAll writeback of one dirty line
 	nOutcomes
 )
 
@@ -68,7 +68,6 @@ var rows = [nOutcomes]row{
 	// as clean.
 	readBypass:  {delta: Counters{LLCRead: 1, DRAMRead: 1, NVRAMRead: 1, TagMissClean: 1}},
 	writeAround: {delta: Counters{LLCWrite: 1, DRAMRead: 1, NVRAMWrite: 1, TagMissClean: 1}},
-	flushWrite:  {delta: Counters{NVRAMWrite: 1}},
 }
 
 // decide is Figure 3: the outcome of a read or write of the line with

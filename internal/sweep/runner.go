@@ -50,10 +50,10 @@ const maxRetainedTagBytes = 128 << 20
 // it never discards rigs under GC pressure — the whole point is that
 // a 1000-job sweep allocates one rig per (class, concurrently active
 // worker), not one per job. It keys by the comparable classID (every
-// field that shapes controller allocation, compared by value), so
-// even a Geometry.Key hash collision could not hand a job a
-// wrong-shaped controller — and because the key is a value, not a
-// per-expansion pointer, independent Runners can share one Arena:
+// field that shapes controller allocation, compared by value), so it
+// never hands a job a wrong-shaped controller — and because the key is
+// a value, not a per-expansion pointer, independent Runners can share
+// one Arena:
 // cmd/simd hands every admitted job the same fleet-wide pool, and
 // jobs repeating a popular geometry skip construction entirely.
 type Arena struct {

@@ -182,49 +182,10 @@ type Geometry struct {
 	id classID
 }
 
-// Key returns the class's stable FNV-1a geometry hash — the arena and
-// label key for controller reuse. Two points may share pooled state
-// only when every field that shapes controller allocation or behavior
-// hashes in here; Expand additionally dedupes classes by exact field
-// value, so equal keys always mean equal geometry.
-func (g *Geometry) Key() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
-	mix(g.CacheBytes)
-	mix(g.NVRAMBytes)
-	mix(uint64(g.Channels))
-	mix(uint64(g.DIMMs))
-	mix(uint64(g.Policy.Ways))
-	var bits uint64
-	if g.Policy.WriteAllocate {
-		bits |= 1
-	}
-	if g.Policy.ReadAllocate {
-		bits |= 2
-	}
-	if g.Policy.DisableDDO {
-		bits |= 4
-	}
-	mix(bits)
-	return h
-}
-
 // classID is the comparable exact-value identity used to dedupe
 // geometry classes during expansion and to key the controller Arena.
-// Because it compares every field that shapes controller allocation
-// exactly, a (vanishingly unlikely) hash collision in Key could
-// mislabel a class but can never hand a job a wrong-geometry
-// controller.
+// It holds every field that shapes controller allocation or behavior,
+// so equal IDs always mean equal geometry.
 type classID struct {
 	cacheBytes uint64
 	nvramBytes uint64

@@ -66,25 +66,25 @@ func TestExpandOrderAndDefaults(t *testing.T) {
 
 // TestExpandSharesGeometry: points of one geometry class share the
 // same canonical *Geometry — the read-only precomputation the arena
-// keys controller reuse on — and distinct classes get distinct keys.
+// keys controller reuse on — and distinct classes get distinct IDs.
 func TestExpandSharesGeometry(t *testing.T) {
 	points, err := Expand(testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := map[*Geometry]uint64{}
+	ids := map[*Geometry]classID{}
 	for _, p := range points {
-		keys[p.Geom] = p.Geom.Key()
+		ids[p.Geom] = p.Geom.id
 	}
-	if len(keys) != 16 {
-		t.Fatalf("%d canonical geometries, want 16", len(keys))
+	if len(ids) != 16 {
+		t.Fatalf("%d canonical geometries, want 16", len(ids))
 	}
-	seen := map[uint64]bool{}
-	for _, k := range keys {
-		if seen[k] {
-			t.Fatalf("geometry hash collision on %#x across the test grid", k)
+	seen := map[classID]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("two canonical geometries share class %+v", id)
 		}
-		seen[k] = true
+		seen[id] = true
 	}
 	if points[0].Geom != points[3].Geom {
 		t.Error("points of one class do not share a canonical Geometry")

@@ -19,8 +19,8 @@ import (
 
 // Recorder is a Sink that appends every sample to an in-memory
 // series. It is not internally synchronized: producers record from
-// one goroutine at a time (the engine's parallel replay records only
-// at barriers).
+// one goroutine at a time (a traced sweep job runs its single point on
+// one worker).
 type Recorder struct {
 	samples []Sample
 }

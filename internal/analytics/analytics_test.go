@@ -315,27 +315,32 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestLoadSpanCoversLines: spans touching k lines generate k loads.
+// TestLoadSpanCoversLines: spans touching k lines generate k loads,
+// and an empty span none. The spans run as the body of a kernel on one
+// target; each ends a round, so each round's sample counts its loads.
 func TestLoadSpanCoversLines(t *testing.T) {
-	g := lineGraph(t, 4)
-	cfg := setup(t, g)
-	r, err := newRunner(cfg)
+	g := lineGraph(t, 64) // 63 edges: a 252-byte edge array
+	span := kernel{name: "span", run: func(r *runner) (int, any) {
+		r.loadSpan(arrEdges, 0, 32) // 128 bytes = 2 lines
+		r.sync("two")
+		r.loadSpan(arrEdges, 5, 5)
+		r.sync("empty")
+		r.loadSpan(arrEdges, 47, 49) // elements 47 and 48 straddle lines 2 and 3
+		r.sync("straddle")
+		return 3, nil
+	}}
+	res, err := one(span, setup(t, g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, _ := cfg.AllocProp(1024)
-	before := cfg.Sys.Counters().LLCRead
-	r.loadSpan(reg, 0, 32) // 128 bytes = 2 lines
-	r.b.Flush()            // the loads are pending in the batch builder
-	got := cfg.Sys.Counters().LLCRead - before
-	if got != 2 {
-		t.Errorf("loadSpan issued %d line loads, want 2", got)
+	want := map[string]uint64{"two": 2, "empty": 0, "straddle": 2}
+	samples := res.Series.Samples()
+	if len(samples) != 4 { // three rounds and the drain
+		t.Fatalf("%d samples, want 4", len(samples))
 	}
-	// Empty span: nothing.
-	before = cfg.Sys.Counters().LLCRead
-	r.loadSpan(reg, 5, 5)
-	r.b.Flush()
-	if cfg.Sys.Counters().LLCRead != before {
-		t.Error("empty span generated traffic")
+	for _, s := range samples[:3] {
+		if got := s.Delta.LLCRead; got != want[s.Label] {
+			t.Errorf("%s: %d line loads, want %d", s.Label, got, want[s.Label])
+		}
 	}
 }

@@ -134,26 +134,33 @@ func (c GraphConfig) newSystem(mode core.Mode) (*core.System, error) {
 	})
 }
 
-// runKernel executes one kernel against g in the given mode on a fresh
-// system (matching the paper's quiet-system runs).
-func (c GraphConfig) runKernel(g *graph.Graph, mode GraphMode, kernel string) (GraphRun, error) {
-	res, err := c.execute(g, mode, kernel)
-	if err != nil {
-		return GraphRun{}, fmt.Errorf("experiments: %s/%s/%s: %w", g.Name, mode, kernel, err)
+// runCell executes kernel once on g and simulates it in every one of
+// modes, each on a fresh system of its own (matching the paper's
+// quiet-system runs). The runs share the kernel's Output.
+func (c GraphConfig) runCell(g *graph.Graph, modes []GraphMode, kernel string) ([]GraphRun, error) {
+	targets := make([]analytics.Config, len(modes))
+	for i, mode := range modes {
+		t, err := c.target(g, mode)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s/%s/%s: %w", g.Name, mode, kernel, err)
+		}
+		targets[i] = t
 	}
-	return GraphRun{
-		Graph:   g.Name,
-		Mode:    mode,
-		Kernel:  kernel,
-		Result:  res,
-		HitRate: res.Delta.HitRate(),
-	}, nil
+	res, err := analytics.Run(kernel, targets...)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s/%v/%s: %w", g.Name, modes, kernel, err)
+	}
+	runs := make([]GraphRun, len(res))
+	for i, r := range res {
+		runs[i] = GraphRun{Graph: g.Name, Mode: modes[i], Kernel: kernel, Result: r, HitRate: r.Delta.HitRate()}
+	}
+	return runs, nil
 }
 
-// execute builds the system for mode, places g on it and runs kernel.
-// The modes differ only in placement: 2LM and NUMA allocate everything
-// through the flat address space, Sage pins the graph in NVRAM.
-func (c GraphConfig) execute(g *graph.Graph, mode GraphMode, kernel string) (analytics.Result, error) {
+// target builds the system for mode and places g on it. The modes
+// differ only in placement: 2LM and NUMA allocate everything through
+// the flat address space, Sage pins the graph in NVRAM.
+func (c GraphConfig) target(g *graph.Graph, mode GraphMode) (analytics.Config, error) {
 	var coreMode core.Mode
 	switch mode {
 	case Mode2LMFlat:
@@ -161,11 +168,11 @@ func (c GraphConfig) execute(g *graph.Graph, mode GraphMode, kernel string) (ana
 	case ModeNUMA, ModeSage:
 		coreMode = core.Mode1LM
 	default:
-		return analytics.Result{}, fmt.Errorf("unknown mode %q", mode)
+		return analytics.Config{}, fmt.Errorf("unknown mode %q", mode)
 	}
 	sys, err := c.newSystem(coreMode)
 	if err != nil {
-		return analytics.Result{}, err
+		return analytics.Config{}, err
 	}
 	cfg := analytics.Config{
 		Threads:  c.Threads,
@@ -175,50 +182,56 @@ func (c GraphConfig) execute(g *graph.Graph, mode GraphMode, kernel string) (ana
 	if mode == ModeSage {
 		session, err := sage.New(sys, g)
 		if err != nil {
-			return analytics.Result{}, err
+			return analytics.Config{}, err
 		}
-		cfg = session.Config(cfg)
-	} else {
-		layout, err := g.Place(sys.AddressSpace().Alloc)
-		if err != nil {
-			return analytics.Result{}, err
-		}
-		cfg.Sys, cfg.G, cfg.Layout = sys, g, layout
-		cfg.AllocProp = sys.AddressSpace().Alloc
+		return session.Config(cfg), nil
 	}
-	return runOne(cfg, kernel, g)
+	layout, err := g.Place(sys.AddressSpace().Alloc)
+	if err != nil {
+		return analytics.Config{}, err
+	}
+	cfg.Sys, cfg.G, cfg.Layout = sys, g, layout
+	cfg.AllocProp = sys.AddressSpace().Alloc
+	return cfg, nil
 }
 
-// runOne dispatches a kernel by name.
-func runOne(cfg analytics.Config, kernel string, g *graph.Graph) (analytics.Result, error) {
-	switch kernel {
-	case "bfs":
-		return analytics.BFS(cfg, g.MaxOutDegreeNode())
-	case "cc":
-		return analytics.CC(cfg)
-	case "kcore":
-		return analytics.KCore(cfg)
-	case "pr":
-		return analytics.PageRank(cfg)
-	default:
-		return analytics.Result{}, fmt.Errorf("unknown kernel %q", kernel)
-	}
-}
-
-// graphCell names one (graph, mode, kernel) run of the study.
+// graphCell is one kernel execution of the study: kernel on g,
+// simulated in each of modes; the run in modes[i] fills slot slots[i]
+// of Study.Runs.
 type graphCell struct {
 	g      *graph.Graph
-	mode   GraphMode
+	modes  []GraphMode
 	kernel string
+	slots  []int
+}
+
+// studyCells lists the study's cells: per kernel, one on the small
+// graph in 2LM and one on the large graph in 2LM, NUMA and Sage. The
+// slots keep Study.Runs in its order: the small graph in 2LM, then the
+// large graph in 2LM, NUMA and Sage, each in KernelNames order.
+func studyCells(small, large *graph.Graph) []graphCell {
+	nk := len(KernelNames)
+	cells := make([]graphCell, 0, 2*nk)
+	for i, kernel := range KernelNames {
+		cells = append(cells, graphCell{small, []GraphMode{Mode2LMFlat}, kernel, []int{i}})
+	}
+	for i, kernel := range KernelNames {
+		cells = append(cells, graphCell{large, []GraphMode{Mode2LMFlat, ModeNUMA, ModeSage}, kernel,
+			[]int{nk + i, 2*nk + i, 3*nk + i}})
+	}
+	return cells
 }
 
 // RunGraphStudy generates both inputs and executes every kernel in
 // 2LM (both graphs), NUMA (large graph — the Figure 8 baseline) and
-// Sage (large graph — the Section VII comparison).
+// Sage (large graph — the Section VII comparison). Each large-graph
+// kernel executes once and feeds its three systems (analytics.Run), so
+// the study is eight kernel executions filling sixteen runs.
 //
-// Every run builds its own system and only reads the shared graphs, so
-// the runs execute concurrently (see runSlots) and each lands in its
-// fixed slot of Study.Runs: the study is the same at any GOMAXPROCS.
+// Every cell builds its own systems and only reads the shared graphs,
+// so the cells execute concurrently (see runSlots) and each run lands
+// in its fixed slot of Study.Runs: the study is the same at any
+// GOMAXPROCS.
 func RunGraphStudy(cfg GraphConfig) (*Study, error) {
 	cfg = cfg.withDefaults()
 	// Start the larger web-like graph first; slot 0 is still the small
@@ -234,31 +247,24 @@ func RunGraphStudy(cfg GraphConfig) (*Study, error) {
 	}
 	small, large := inputs[0], inputs[1]
 
-	var cells []graphCell
-	for _, spec := range []struct {
-		g    *graph.Graph
-		mode GraphMode
-	}{
-		{small, Mode2LMFlat},
-		{large, Mode2LMFlat},
-		{large, ModeNUMA},
-		{large, ModeSage},
-	} {
-		for _, kernel := range KernelNames {
-			cells = append(cells, graphCell{spec.g, spec.mode, kernel})
-		}
-	}
-	runs, err := runSlots(len(cells), dispatchOrder(cells), func(i int) (GraphRun, error) {
-		return cfg.runKernel(cells[i].g, cells[i].mode, cells[i].kernel)
+	cells := studyCells(small, large)
+	done, err := runSlots(len(cells), dispatchOrder(cells), func(i int) ([]GraphRun, error) {
+		return cfg.runCell(cells[i].g, cells[i].modes, cells[i].kernel)
 	})
 	if err != nil {
 		return nil, err
+	}
+	runs := make([]GraphRun, 4*len(KernelNames))
+	for i, cell := range cells {
+		for j, slot := range cell.slots {
+			runs[slot] = done[i][j]
+		}
 	}
 	return &Study{Config: cfg, Small: small, Large: large, Runs: runs}, nil
 }
 
 // dispatchOrder lists the cells' indices largest graph first, then
-// longest kernel first, so the longest runs start early and the short
+// longest kernel first, so the longest cells start early and the short
 // ones fill in at the end. It only balances the workers.
 func dispatchOrder(cells []graphCell) []int {
 	// The kernels by run time on the over-capacity graph, longest first.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -239,38 +240,79 @@ func TestGraphStudySameAtAnyParallelism(t *testing.T) {
 	}
 }
 
-// TestRunKernelRejectsUnknownKernel: every mode dispatches through
-// runOne, so a misspelled kernel is an error in Sage mode too.
+// TestRunKernelRejectsUnknownKernel: every cell dispatches through
+// analytics.Run, so a misspelled kernel is an error in Sage mode and
+// in a merged cell too.
 func TestRunKernelRejectsUnknownKernel(t *testing.T) {
 	g, err := graph.Kronecker(6, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := testGraphConfig().withDefaults()
-	for _, mode := range []GraphMode{Mode2LMFlat, ModeNUMA, ModeSage} {
-		_, err := cfg.runKernel(g, mode, "sssp")
+	for _, modes := range [][]GraphMode{{Mode2LMFlat}, {ModeNUMA}, {ModeSage}, {Mode2LMFlat, ModeNUMA, ModeSage}} {
+		_, err := cfg.runCell(g, modes, "sssp")
 		if err == nil || !strings.Contains(err.Error(), `unknown kernel "sssp"`) {
-			t.Errorf("%s: err = %v, want unknown kernel", mode, err)
+			t.Errorf("%v: err = %v, want unknown kernel", modes, err)
 		}
 	}
-	if _, err := cfg.runKernel(g, "CXL", "bfs"); err == nil {
+	if _, err := cfg.runCell(g, []GraphMode{"CXL"}, "bfs"); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
 
-// TestDispatchOrderLongestFirst: the large graph's runs start first,
-// pagerank before cc, bfs and kcore, and the small graph's last.
+// TestDispatchOrderLongestFirst: the study's eight cells dispatch the
+// merged large-graph cells first — pagerank, then cc, bfs and kcore —
+// and the small graph's cells last, in the same kernel order.
 func TestDispatchOrderLongestFirst(t *testing.T) {
 	small, large := &graph.Graph{Edges: make([]uint32, 1)}, &graph.Graph{Edges: make([]uint32, 2)}
-	var cells []graphCell
-	for _, g := range []*graph.Graph{small, large} {
-		for _, kernel := range KernelNames {
-			cells = append(cells, graphCell{g, Mode2LMFlat, kernel})
+	cells := studyCells(small, large)
+	if len(cells) != 8 {
+		t.Fatalf("%d cells, want 8", len(cells))
+	}
+	var order []string
+	for _, i := range dispatchOrder(cells) {
+		c := cells[i]
+		size := "small"
+		if c.g == large {
+			size = "large"
+		}
+		order = append(order, fmt.Sprintf("%s/%s/%v", size, c.kernel, c.modes))
+	}
+	want := []string{
+		"large/pr/[2LM NUMA Sage]", "large/cc/[2LM NUMA Sage]", "large/bfs/[2LM NUMA Sage]", "large/kcore/[2LM NUMA Sage]",
+		"small/pr/[2LM]", "small/cc/[2LM]", "small/bfs/[2LM]", "small/kcore/[2LM]",
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Errorf("dispatch order %v, want %v", order, want)
+	}
+}
+
+// TestStudyCellsFillEverySlotOnce: the cells' slots cover Study.Runs'
+// sixteen slots once each, in the study's mode-major order.
+func TestStudyCellsFillEverySlotOnce(t *testing.T) {
+	small, large := &graph.Graph{Name: "small"}, &graph.Graph{Name: "large"}
+	var got [16]string
+	for _, c := range studyCells(small, large) {
+		if len(c.slots) != len(c.modes) {
+			t.Fatalf("%s/%s: %d slots for %d modes", c.g.Name, c.kernel, len(c.slots), len(c.modes))
+		}
+		for j, slot := range c.slots {
+			if got[slot] != "" {
+				t.Fatalf("slot %d filled twice", slot)
+			}
+			got[slot] = fmt.Sprintf("%s/%s/%s", c.g.Name, c.modes[j], c.kernel)
 		}
 	}
-	// KernelNames is bfs, cc, kcore, pr: small graph 0-3, large 4-7.
-	want := []int{7, 5, 4, 6, 3, 1, 0, 2}
-	if got := dispatchOrder(cells); !reflect.DeepEqual(got, want) {
-		t.Errorf("dispatch order %v, want %v", got, want)
+	i := 0
+	for _, spec := range []struct {
+		g    string
+		mode GraphMode
+	}{{"small", Mode2LMFlat}, {"large", Mode2LMFlat}, {"large", ModeNUMA}, {"large", ModeSage}} {
+		for _, kernel := range KernelNames {
+			if want := fmt.Sprintf("%s/%s/%s", spec.g, spec.mode, kernel); got[i] != want {
+				t.Errorf("slot %d holds %q, want %q", i, got[i], want)
+			}
+			i++
+		}
 	}
 }
